@@ -13,9 +13,12 @@
 //!    is bit-identical to a direct in-process simulation on the same
 //!    design — a damaged frame may cost a retry, never a wrong answer.
 //! 4. **Every injected fault is visible**: the `serve.fault.*` counters
-//!    in the global metrics snapshot agree exactly with the engine's own
-//!    injection statistics.
+//!    agree exactly with the engine's own injection statistics. The
+//!    engine reports to a private registry, so engines in sibling tests
+//!    cannot bump the counters this soak checks.
 
+use roboshape_obs::MetricsRegistry;
+use roboshape_pipeline::Pipeline;
 use roboshape_robots::{zoo, Zoo};
 use roboshape_serve::loadgen::{
     request_inputs, run_loadgen, LoadMode, LoadgenConfig, RetryPolicy, TargetRobot, Workload,
@@ -35,13 +38,17 @@ const CHAOS: FaultConfig = FaultConfig {
     pressure: 0.05,
 };
 
-fn chaotic_zoo_server() -> Server {
-    let engine = Engine::new(EngineConfig {
-        chaos: Some(CHAOS),
-        circuit_threshold: 4,
-        circuit_cooldown: Duration::from_millis(50),
-        ..EngineConfig::default()
-    });
+fn chaotic_zoo_server(registry: &MetricsRegistry) -> Server {
+    let engine = Engine::with_registry(
+        EngineConfig {
+            chaos: Some(CHAOS),
+            circuit_threshold: 4,
+            circuit_cooldown: Duration::from_millis(50),
+            ..EngineConfig::default()
+        },
+        Pipeline::with_store(Pipeline::global().store_handle()),
+        registry,
+    );
     for which in Zoo::ALL {
         engine.register(which.name(), zoo(which));
     }
@@ -63,7 +70,8 @@ fn reconnect(client: &mut Client, addr: std::net::SocketAddr) {
 
 #[test]
 fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
-    let server = chaotic_zoo_server();
+    let registry = MetricsRegistry::new();
+    let server = chaotic_zoo_server(&registry);
     let addr = server.addr();
     let engine = server.engine().clone();
 
@@ -194,8 +202,8 @@ fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
     assert!(verified > 0, "most answers are real kernel results");
 
     // Phase 3 — every injected fault is visible. The engine's own
-    // injection stats and the global `serve.fault.*` counters must agree
-    // exactly; the wire-corruption counter lives server-side only.
+    // injection stats and its registry's `serve.fault.*` counters must
+    // agree exactly; the wire-corruption counter lives server-side only.
     let stats = engine.stats();
     assert!(stats.injected_crashes > 0, "crash site fired: {stats:?}");
     assert!(stats.injected_stalls > 0, "stall site fired: {stats:?}");
@@ -213,8 +221,7 @@ fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
         stats.responses()
     );
 
-    let snapshot = roboshape_obs::metrics().snapshot();
-    let counter = |name: &str| {
+    let counter_in = |snapshot: &roboshape_obs::MetricsSnapshot, name: &str| {
         snapshot
             .counters
             .iter()
@@ -222,6 +229,8 @@ fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
             .map(|(_, v)| *v)
             .unwrap_or(0)
     };
+    let snapshot = registry.snapshot();
+    let counter = |name: &str| counter_in(&snapshot, name);
     assert_eq!(
         counter(roboshape_serve::FAULT_CRASH_METRIC),
         stats.injected_crashes
@@ -242,8 +251,13 @@ fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
         counter(roboshape_serve::FAULT_CORRUPT_METRIC) > 0,
         "wire corruption fired"
     );
+    // The load generator is client-side and reports to the global
+    // registry.
     assert!(
-        counter(roboshape_serve::RETRY_ATTEMPTS_METRIC) >= report.retried,
+        counter_in(
+            &roboshape_obs::metrics().snapshot(),
+            roboshape_serve::RETRY_ATTEMPTS_METRIC
+        ) >= report.retried,
         "retry attempts counted"
     );
 
