@@ -41,8 +41,9 @@ pub use json::Json;
 pub use record::{BenchRecord, MachineInfo, Metric, MetricKind, RecordError};
 
 /// FNV-1a 64-bit hash of a byte string — the bundle's snapshot
-/// fingerprint (the same primitive the serve wire protocol uses for
-/// frame checksums, reimplemented here so the crate stays leaf-level).
+/// fingerprint. Committed bundles record these values, so the
+/// function must stay FNV-1a-64 (the serve wire protocol's frame
+/// checksum is a different function, CRC-32C).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -37,7 +37,7 @@ const READ_BUDGET: usize = 256 * 1024;
 pub enum FrameViolation {
     /// The header declared a body longer than [`MAX_FRAME`].
     TooLarge(u64),
-    /// A fully-received body failed its FNV-1a checksum.
+    /// A fully-received body failed its CRC-32C checksum.
     BadChecksum,
 }
 
@@ -101,35 +101,8 @@ impl FrameConn {
         let mut taken = 0usize;
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            // Deliver every complete frame already buffered.
-            loop {
-                if self.inbuf.len() < HEADER_LEN {
-                    break;
-                }
-                let len = u32::from_le_bytes([
-                    self.inbuf[0],
-                    self.inbuf[1],
-                    self.inbuf[2],
-                    self.inbuf[3],
-                ]) as usize;
-                let expected = u32::from_le_bytes([
-                    self.inbuf[4],
-                    self.inbuf[5],
-                    self.inbuf[6],
-                    self.inbuf[7],
-                ]);
-                if len > MAX_FRAME {
-                    return ReadOutcome::Violation(FrameViolation::TooLarge(len as u64));
-                }
-                if self.inbuf.len() < HEADER_LEN + len {
-                    break;
-                }
-                let body: Vec<u8> = self.inbuf[HEADER_LEN..HEADER_LEN + len].to_vec();
-                self.inbuf.drain(..HEADER_LEN + len);
-                if checksum(&body) != expected {
-                    return ReadOutcome::Violation(FrameViolation::BadChecksum);
-                }
-                sink(body);
+            if let Err(violation) = self.deliver(&mut sink) {
+                return ReadOutcome::Violation(violation);
             }
             if taken >= READ_BUDGET {
                 return ReadOutcome::Open;
@@ -145,6 +118,37 @@ impl FrameConn {
                 Err(_) => return ReadOutcome::Closed,
             }
         }
+    }
+
+    /// Hands every complete frame buffered in `inbuf` to `sink`, then
+    /// drops the consumed prefix in one move, so a read holding many
+    /// frames costs time linear in its bytes rather than in frames ×
+    /// bytes. A frame that fails its checksum is consumed before the
+    /// violation is returned.
+    fn deliver(&mut self, sink: &mut impl FnMut(Vec<u8>)) -> Result<(), FrameViolation> {
+        let mut at = 0usize;
+        let outcome = loop {
+            let rest = &self.inbuf[at..];
+            if rest.len() < HEADER_LEN {
+                break Ok(());
+            }
+            let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+            let expected = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
+            if len > MAX_FRAME {
+                break Err(FrameViolation::TooLarge(len as u64));
+            }
+            if rest.len() < HEADER_LEN + len {
+                break Ok(());
+            }
+            let body = &rest[HEADER_LEN..HEADER_LEN + len];
+            at += HEADER_LEN + len;
+            if checksum(body) != expected {
+                break Err(FrameViolation::BadChecksum);
+            }
+            sink(body.to_vec());
+        };
+        self.inbuf.drain(..at);
+        outcome
     }
 
     /// Queues already-framed wire bytes (header + body) for sending.
@@ -224,6 +228,48 @@ mod tests {
         assert_eq!(conn.read_frames(|b| got.push(b)), ReadOutcome::Open);
         assert_eq!(got.len(), 5);
         assert_eq!(got[4], vec![4u8; 9]);
+    }
+
+    #[test]
+    fn many_frames_in_one_burst_arrive_in_order_and_a_partial_tail_waits() {
+        let (mut client, mut conn) = pair();
+        // Request-sized bodies, each tagged with its index.
+        let bodies: Vec<Vec<u8>> = (0..512u32)
+            .map(|i| {
+                let mut body = i.to_le_bytes().to_vec();
+                body.resize(332, (i % 251) as u8);
+                body
+            })
+            .collect();
+        let tail = frame_bytes(b"the frame after the burst");
+        let mut burst: Vec<u8> = bodies.iter().flat_map(|b| frame_bytes(b)).collect();
+        let split = tail.len() / 2;
+        burst.extend_from_slice(&tail[..split]);
+        // ~174 KB can exceed the socket buffers: write from another
+        // thread while this one reads.
+        let writer = std::thread::spawn(move || {
+            client.write_all(&burst).unwrap();
+            client
+        });
+        let mut got = Vec::new();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while got.len() < bodies.len() {
+            assert!(std::time::Instant::now() < deadline, "burst never arrived");
+            assert_eq!(conn.read_frames(|b| got.push(b)), ReadOutcome::Open);
+        }
+        let mut client = writer.join().unwrap();
+        // The half-sent tail stays buffered across passes.
+        for _ in 0..3 {
+            assert_eq!(conn.read_frames(|b| got.push(b)), ReadOutcome::Open);
+        }
+        assert_eq!(got, bodies, "every frame, in order, and no partial one");
+        client.write_all(&tail[split..]).unwrap();
+        while got.len() == bodies.len() {
+            assert!(std::time::Instant::now() < deadline, "tail never arrived");
+            assert_eq!(conn.read_frames(|b| got.push(b)), ReadOutcome::Open);
+        }
+        assert_eq!(got.last().unwrap(), b"the frame after the burst");
+        assert_eq!(got.len(), bodies.len() + 1);
     }
 
     #[test]

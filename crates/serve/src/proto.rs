@@ -3,7 +3,7 @@
 //! module is its implementation.
 //!
 //! Every message is one *frame*: a little-endian `u32` byte length,
-//! a little-endian `u32` FNV-1a checksum of the body, then that many
+//! a little-endian `u32` CRC-32C checksum of the body, then that many
 //! body bytes (capped at [`MAX_FRAME`]). The checksum makes wire
 //! corruption *detectable*: a flipped bit surfaces as a typed error at
 //! the receiver instead of silently decoding into wrong-but-plausible
@@ -256,19 +256,109 @@ fn is_work_tag(tag: u8) -> bool {
 /// Bytes of the frame header (`u32` length + `u32` checksum).
 pub const HEADER_LEN: usize = 8;
 
-/// FNV-1a 32-bit checksum of a frame body — the integrity check carried
-/// in every frame header.
+/// CRC-32C (Castagnoli) of a frame body — the integrity check carried
+/// in every frame header. Reflected polynomial `0x82F63B78`, init and
+/// xorout `0xFFFF_FFFF`; `checksum(b"123456789") == 0xE306_9283`.
+///
+/// On x86_64 CPUs with SSE4.2 it runs on the `crc32` instruction, eight
+/// bytes per step; everywhere else on a slicing-by-8 table. Both bodies
+/// compute the same value (the tests pin them against each other).
 pub fn checksum(body: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in body {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the running CPU supports SSE4.2, checked just above.
+        return unsafe { crc32c_sse42(body) };
     }
-    h
+    crc32c_portable(body)
+}
+
+/// Reflected CRC-32C (Castagnoli) polynomial.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// Slicing-by-8 tables: `CRC32C_TABLES[k][b]` is the CRC register after
+/// byte `b` followed by `k` zero bytes, so eight table lookups advance
+/// the register over eight input bytes at once.
+static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
+
+const fn crc32c_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ CRC32C_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// The portable CRC-32C body (slicing-by-8).
+fn crc32c_portable(body: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut crc = !0u32;
+    let mut words = body.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// The SSE4.2 CRC-32C body: one `crc32` instruction per eight bytes,
+/// then one per trailing byte.
+///
+/// # Safety
+///
+/// The running CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_sse42(body: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut crc = u64::from(!0u32);
+    let mut words = body.chunks_exact(8);
+    for w in &mut words {
+        let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        crc = _mm_crc32_u64(crc, word);
+    }
+    // The 64-bit form zero-extends a 32-bit register, so this is lossless.
+    let mut crc = crc as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
 }
 
 /// The complete wire encoding of one frame: `u32` LE length, `u32` LE
-/// FNV-1a body checksum, body. The server's writer uses this (rather
+/// CRC-32C body checksum, body. The server's writer uses this (rather
 /// than [`write_frame`]) so injected wire corruption operates on the
 /// exact bytes a healthy server would have sent.
 pub fn frame_bytes(body: &[u8]) -> Vec<u8> {
@@ -789,7 +879,7 @@ pub fn decode_response(body: &[u8]) -> Result<ResponseFrame, ProtoError> {
     })
 }
 
-/// Writes one frame: `u32` LE length, `u32` LE FNV-1a checksum, body.
+/// Writes one frame: `u32` LE length, `u32` LE CRC-32C checksum, body.
 ///
 /// # Errors
 ///
@@ -1166,6 +1256,116 @@ mod tests {
         let err = read_frame(&mut io::Cursor::new(wire)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    /// RFC 3720 §B.4 CRC-32C test vectors, plus the catalogue check
+    /// value over `"123456789"`.
+    fn crc32c_vectors() -> Vec<(Vec<u8>, u32)> {
+        vec![
+            (vec![0x00; 32], 0x8A91_36AA),
+            (vec![0xFF; 32], 0x62A8_AB43),
+            ((0..=31u8).collect(), 0x46DD_794E),
+            ((0..=31u8).rev().collect(), 0x113F_DB5C),
+            (b"123456789".to_vec(), 0xE306_9283),
+        ]
+    }
+
+    #[test]
+    fn checksum_is_crc32c_on_the_rfc_3720_vectors() {
+        for (data, want) in crc32c_vectors() {
+            assert_eq!(checksum(&data), want, "dispatched, {data:02x?}");
+            assert_eq!(crc32c_portable(&data), want, "portable, {data:02x?}");
+        }
+        assert_eq!(checksum(&[]), 0);
+    }
+
+    #[test]
+    fn portable_checksum_matches_the_dispatched_one() {
+        // Every short length at every alignment: the 8-byte main loop,
+        // its remainder, and both together.
+        let data: Vec<u8> = (0..72u32).map(|i| ((i * 167) ^ 0x5A) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &data[offset..offset + len];
+                assert_eq!(checksum(slice), crc32c_portable(slice), "{offset}+{len}");
+            }
+        }
+        // Random slices up to 64 KiB.
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
+        let big: Vec<u8> = (0..64 * 1024 + 8).map(|_| rng.next_u64() as u8).collect();
+        for _ in 0..200 {
+            let start = rng.gen_range(0..8usize);
+            let len = rng.gen_range(0..64 * 1024 + 1usize);
+            let slice = &big[start..start + len];
+            assert_eq!(checksum(slice), crc32c_portable(slice), "{start}+{len}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_gradient_response_is_detected() {
+        use crate::engine::{Engine, EngineConfig};
+        use crate::net::{FrameConn, FrameViolation, ReadOutcome};
+        use roboshape_obs::MetricsRegistry;
+        use roboshape_pipeline::Pipeline;
+        use roboshape_robots::{zoo, Zoo};
+
+        // A real HyQ ∇FD response, as a server would frame it.
+        let engine = Engine::with_registry(
+            EngineConfig::default(),
+            Pipeline::new(),
+            &MetricsRegistry::new(),
+        );
+        engine.register("HyQ", zoo(Zoo::Hyq));
+        let n = engine.num_links("HyQ").unwrap();
+        let result = engine
+            .submit(ServeRequest::gradient(
+                "HyQ",
+                vec![0.3; n],
+                vec![-0.2; n],
+                vec![1.5; n],
+            ))
+            .unwrap()
+            .wait();
+        engine.shutdown();
+        assert!(matches!(result, Ok(ServePayload::Gradient { .. })));
+        let wire = frame_bytes(&encode_response(&ResponseFrame::direct(7, result)));
+        assert!(wire.len() > 2_000, "a full gradient payload");
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = FrameConn::new(listener.accept().unwrap().0).unwrap();
+        let mut damaged = wire.clone();
+        for bit in HEADER_LEN * 8..wire.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let err = read_frame(&mut io::Cursor::new(&damaged)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "bit {bit}");
+            // Only the body is damaged, so the bad frame is consumed
+            // whole and the connection stays aligned for the next one.
+            client.write_all(&damaged).unwrap();
+            loop {
+                match conn.read_frames(|_| panic!("bit {bit}: damaged frame delivered")) {
+                    ReadOutcome::Open => continue,
+                    outcome => {
+                        assert_eq!(
+                            outcome,
+                            ReadOutcome::Violation(FrameViolation::BadChecksum),
+                            "bit {bit}"
+                        );
+                        break;
+                    }
+                }
+            }
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        // The undamaged frame still passes both readers.
+        assert!(read_frame(&mut io::Cursor::new(&wire)).unwrap().is_some());
+        client.write_all(&wire).unwrap();
+        let mut got = Vec::new();
+        while got.is_empty() {
+            assert_eq!(conn.read_frames(|b| got.push(b)), ReadOutcome::Open);
+        }
+        assert_eq!(got[0], wire[HEADER_LEN..]);
     }
 
     #[test]

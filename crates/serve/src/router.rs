@@ -49,7 +49,7 @@ use crate::{
     ROUTER_REROUTED_METRIC, ROUTER_RESPONSES_METRIC, ROUTER_SHARDS_ALIVE_METRIC,
     ROUTER_SHED_METRIC,
 };
-use roboshape_obs as obs;
+use roboshape_obs::{self as obs, Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -95,7 +95,7 @@ impl RouterConfig {
 }
 
 /// Live counters the CLI polls for its exit condition and summary line.
-/// The same events also feed the global `serve.router.*` metrics; these
+/// The same events also feed the `serve.router.*` metrics; these
 /// are per-router and cheap to read.
 #[derive(Debug, Default)]
 pub struct RouterStats {
@@ -118,22 +118,38 @@ impl RouterStats {
     }
 }
 
-/// Touch every router metric once so `--metrics` snapshots always
-/// contain the full `serve.router.*` vocabulary even on an uneventful
-/// run — a missing key means an old binary, not a quiet fleet.
-fn preregister_metrics() {
-    let m = obs::metrics();
-    for name in [
-        ROUTER_REQUESTS_METRIC,
-        ROUTER_RESPONSES_METRIC,
-        ROUTER_REROUTED_METRIC,
-        ROUTER_SHED_METRIC,
-        ROUTER_FAILOVERS_METRIC,
-    ] {
-        m.counter(name).add(0);
+/// The metric handles one router updates, resolved once from a
+/// registry at start: the loop then touches lock-free atomics instead
+/// of looking a name up per request.
+struct RouterMetrics {
+    requests: Arc<Counter>,
+    responses: Arc<Counter>,
+    rerouted: Arc<Counter>,
+    shed: Arc<Counter>,
+    failovers: Arc<Counter>,
+    shards_alive: Arc<Gauge>,
+    inflight: Arc<Gauge>,
+}
+
+impl RouterMetrics {
+    /// Resolving registers every name, so `--metrics` snapshots always
+    /// contain the full `serve.router.*` vocabulary even on an
+    /// uneventful run — a missing key means an old binary, not a quiet
+    /// fleet.
+    fn new(m: &MetricsRegistry) -> RouterMetrics {
+        let metrics = RouterMetrics {
+            requests: m.counter(ROUTER_REQUESTS_METRIC),
+            responses: m.counter(ROUTER_RESPONSES_METRIC),
+            rerouted: m.counter(ROUTER_REROUTED_METRIC),
+            shed: m.counter(ROUTER_SHED_METRIC),
+            failovers: m.counter(ROUTER_FAILOVERS_METRIC),
+            shards_alive: m.gauge(ROUTER_SHARDS_ALIVE_METRIC),
+            inflight: m.gauge(ROUTER_INFLIGHT_METRIC),
+        };
+        metrics.shards_alive.set(0.0);
+        metrics.inflight.set(0.0);
+        metrics
     }
-    m.gauge(ROUTER_SHARDS_ALIVE_METRIC).set(0.0);
-    m.gauge(ROUTER_INFLIGHT_METRIC).set(0.0);
 }
 
 /// A running router. Call [`Router::shutdown`] for an orderly stop.
@@ -154,7 +170,22 @@ impl Router {
     ///
     /// Propagates bind/configuration I/O errors.
     pub fn start(config: RouterConfig, addr: impl ToSocketAddrs) -> io::Result<Router> {
-        preregister_metrics();
+        Router::start_with_registry(config, addr, obs::metrics())
+    }
+
+    /// As [`Router::start`], reporting the router's `serve.router.*`
+    /// metrics to `registry` instead of the process-wide one, so tests
+    /// can assert exact counts while other routers run alongside.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind/configuration I/O errors.
+    pub fn start_with_registry(
+        config: RouterConfig,
+        addr: impl ToSocketAddrs,
+        registry: &MetricsRegistry,
+    ) -> io::Result<Router> {
+        let metrics = RouterMetrics::new(registry);
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -167,6 +198,7 @@ impl Router {
             wake_rx,
             Arc::clone(&stop),
             Arc::clone(&stats),
+            metrics,
         )?;
         let thread = std::thread::spawn(move || inner.run());
         Ok(Router {
@@ -259,6 +291,7 @@ struct RouterLoop {
     config: RouterConfig,
     stop: Arc<AtomicBool>,
     stats: Arc<RouterStats>,
+    metrics: RouterMetrics,
     poller: Poller,
     wake_rx: WakeRx,
     listener: TcpListener,
@@ -280,6 +313,7 @@ impl RouterLoop {
         wake_rx: WakeRx,
         stop: Arc<AtomicBool>,
         stats: Arc<RouterStats>,
+        metrics: RouterMetrics,
     ) -> io::Result<RouterLoop> {
         let mut poller = Poller::new()?;
         poller.register(wake_rx.fd(), WAKE_TOKEN, Interest::READABLE)?;
@@ -304,6 +338,7 @@ impl RouterLoop {
             config,
             stop,
             stats,
+            metrics,
             poller,
             wake_rx,
             listener,
@@ -342,8 +377,8 @@ impl RouterLoop {
             events = drained;
             self.publish_gauges();
         }
-        obs::metrics().gauge(ROUTER_SHARDS_ALIVE_METRIC).set(0.0);
-        obs::metrics().gauge(ROUTER_INFLIGHT_METRIC).set(0.0);
+        self.metrics.shards_alive.set(0.0);
+        self.metrics.inflight.set(0.0);
     }
 
     fn publish_gauges(&self) {
@@ -360,12 +395,8 @@ impl RouterLoop {
                 LinkState::Down => 0,
             })
             .sum();
-        obs::metrics()
-            .gauge(ROUTER_SHARDS_ALIVE_METRIC)
-            .set(alive as f64);
-        obs::metrics()
-            .gauge(ROUTER_INFLIGHT_METRIC)
-            .set(inflight as f64);
+        self.metrics.shards_alive.set(alive as f64);
+        self.metrics.inflight.set(inflight as f64);
     }
 
     /// Dials every down shard whose redial interval has elapsed, and
@@ -554,7 +585,7 @@ impl RouterLoop {
             }
         };
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        obs::metrics().counter(ROUTER_REQUESTS_METRIC).add(1);
+        self.metrics.requests.add(1);
         let entry = Pending::Client {
             token,
             id: route.id,
@@ -622,7 +653,7 @@ impl RouterLoop {
         }
         if rerouted {
             self.stats.rerouted.fetch_add(1, Ordering::Relaxed);
-            obs::metrics().counter(ROUTER_REROUTED_METRIC).add(1);
+            self.metrics.rerouted.add(1);
         }
         let uid = self.next_uid;
         self.next_uid += 1;
@@ -649,7 +680,7 @@ impl RouterLoop {
     /// Typed router-side rejection (admission cap or an empty fleet).
     fn shed(&mut self, token: u64, id: u64, reason: String) {
         self.stats.shed.fetch_add(1, Ordering::Relaxed);
-        obs::metrics().counter(ROUTER_SHED_METRIC).add(1);
+        self.metrics.shed.add(1);
         let wire = frame_bytes(&encode_response(&ResponseFrame::direct(
             id,
             Err(ServeError::Rejected { reason }),
@@ -825,7 +856,7 @@ impl RouterLoop {
                 rewrite_id(&mut body, id, rerouted);
                 let wire = frame_bytes(&body);
                 self.stats.responses.fetch_add(1, Ordering::Relaxed);
-                obs::metrics().counter(ROUTER_RESPONSES_METRIC).add(1);
+                self.metrics.responses.add(1);
                 self.send_to_client(token, &wire);
             }
         }
@@ -850,7 +881,7 @@ impl RouterLoop {
         self.shard_tokens.remove(&token);
         self.shards[idx].last_attempt = Some(Instant::now());
         self.stats.failovers.fetch_add(1, Ordering::Relaxed);
-        obs::metrics().counter(ROUTER_FAILOVERS_METRIC).add(1);
+        self.metrics.failovers.add(1);
         let mut finished_fanouts = Vec::new();
         for (_, entry) in pending {
             match entry {

@@ -17,11 +17,13 @@
 //!   router's failover counter records the lost shard.
 
 use roboshape_arch::KernelKind;
+use roboshape_obs::MetricsRegistry;
 use roboshape_robots::{zoo, Zoo};
 use roboshape_serve::loadgen::request_inputs;
 use roboshape_serve::{
     Client, Engine, EngineConfig, HashRing, Router, RouterConfig, ServePayload, ServeRequest,
-    Shard, ShardSpec,
+    Shard, ShardSpec, ROUTER_FAILOVERS_METRIC, ROUTER_REQUESTS_METRIC, ROUTER_REROUTED_METRIC,
+    ROUTER_RESPONSES_METRIC, ROUTER_SHED_METRIC,
 };
 use roboshape_sim::try_simulate;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -295,6 +297,61 @@ fn empty_fleet_sheds_and_recovers_when_a_shard_returns() {
             }
         }
     }
+
+    router.shutdown();
+    shard.shutdown();
+}
+
+/// A router started on a private registry counts exactly what it
+/// routed there: no other test's traffic bleeds into it.
+#[test]
+fn router_counts_exactly_on_a_private_registry() {
+    let registry = MetricsRegistry::new();
+    let shard = Shard::start("solo", zoo_engine(), "127.0.0.1:0").expect("bind shard");
+    let router = Router::start_with_registry(
+        RouterConfig::new(vec![ShardSpec {
+            name: "solo".to_string(),
+            addr: shard.addr(),
+        }]),
+        "127.0.0.1:0",
+        &registry,
+    )
+    .expect("bind router");
+    let counter = |name: &str| {
+        registry
+            .snapshot()
+            .counters
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
+    };
+    // Resolved at start: the whole vocabulary is present before traffic.
+    assert_eq!(counter(ROUTER_REQUESTS_METRIC), Some(0));
+
+    // Wait for the shard link (hello frames are not counted requests).
+    let mut client = Client::connect(router.addr()).expect("connect router");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.hello().expect("router hello").robots.is_empty() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "shard link never came up"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    const REQUESTS: usize = 6;
+    for i in 0..REQUESTS {
+        let (_, _, req) = nth_gradient(0, i);
+        let frame = client.call_tracked(&req).expect("router transport");
+        assert!(matches!(frame.result, Ok(ServePayload::Gradient { .. })));
+        assert!(!frame.rerouted);
+    }
+    // Responses are counted before they are sent, so these are final.
+    assert_eq!(counter(ROUTER_REQUESTS_METRIC), Some(REQUESTS as u64));
+    assert_eq!(counter(ROUTER_RESPONSES_METRIC), Some(REQUESTS as u64));
+    assert_eq!(counter(ROUTER_REROUTED_METRIC), Some(0));
+    assert_eq!(counter(ROUTER_SHED_METRIC), Some(0));
+    assert_eq!(counter(ROUTER_FAILOVERS_METRIC), Some(0));
 
     router.shutdown();
     shard.shutdown();
