@@ -73,7 +73,7 @@ pub const USAGE: &str = "usage: roboshape <command> <robot.urdf> [options]
   serve     run the accelerator service on TCP (<spec> = zoo | zoo:NAME | robot.urdf)
             (--port P --port-file FILE --queue N --batch N --workers N --max-requests N
              --chaos SEED:RATE --deadline-ms N --backend scalar|lanes
-             --shard NAME --loops N)
+             --shard NAME)
   router    route requests across shard servers by consistent hashing (no <spec>)
             (--shards NAME=ADDR,... --port P --port-file FILE --max-requests N)
   loadgen   drive a running server or router and print a latency/throughput report
@@ -176,8 +176,6 @@ pub enum Command {
         /// Shard name announced in hello handshakes (`--shard NAME`;
         /// `solo` when the server runs outside a cluster).
         shard: Option<String>,
-        /// Event loops servicing connections (`--loops N`).
-        loops: usize,
     },
     /// `roboshape router`: consistent-hash client requests across shard
     /// servers, with admission control and shard-level failover.
@@ -453,7 +451,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 deadline_ms: get_usize("--deadline-ms")?.map(|v| v as u64),
                 backend,
                 shard: get_opt("--shard")?,
-                loops: get_usize("--loops")?.unwrap_or(1).max(1),
             }
         }
         "router" => {
@@ -713,9 +710,8 @@ fn run_serve(
     deadline_ms: Option<u64>,
     backend: roboshape::BackendKind,
     shard: Option<&String>,
-    loops: usize,
 ) -> Result<String, CliError> {
-    use roboshape_serve::{Engine, EngineConfig, Server, ServerOptions};
+    use roboshape_serve::{Engine, EngineConfig, Shard};
     let robots = resolve_robots(&cli.urdf)?;
     let engine = Engine::new(EngineConfig {
         queue_capacity: queue,
@@ -737,12 +733,10 @@ fn run_serve(
         );
         engine.register(name, model);
     }
-    let options = ServerOptions {
-        shard_name: shard.cloned().unwrap_or_else(|| "solo".to_string()),
-        loops,
-    };
     let shard_note = shard.map(|s| format!(" shard={s}")).unwrap_or_default();
-    let server = Server::start_with(engine.clone(), ("127.0.0.1", port), options)
+    // Outside a cluster a server is a shard named `solo`.
+    let name = shard.cloned().unwrap_or_else(|| "solo".to_string());
+    let server = Shard::start(name, engine.clone(), ("127.0.0.1", port))
         .map_err(|e| CliError::new(format!("cannot bind 127.0.0.1:{port}: {e}")))?;
     let bound = server.port();
     if let Some(path) = port_file {
@@ -1299,7 +1293,6 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
             deadline_ms,
             backend,
             shard,
-            loops,
         } => {
             return run_serve(
                 cli,
@@ -1313,7 +1306,6 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
                 *deadline_ms,
                 *backend,
                 shard.as_ref(),
-                *loops,
             )
         }
         Command::Router {
@@ -2138,11 +2130,10 @@ mod tests {
         assert!(parse_args(&args(&["router", "--shards", "bad"])).is_err());
         assert!(parse_args(&args(&["router", "--shards", "s0=notaport"])).is_err());
 
-        let c = parse_args(&args(&["serve", "zoo", "--shard", "s0", "--loops", "2"])).unwrap();
+        let c = parse_args(&args(&["serve", "zoo", "--shard", "s0"])).unwrap();
         match c.command {
-            Command::Serve { shard, loops, .. } => {
+            Command::Serve { shard, .. } => {
                 assert_eq!(shard.as_deref(), Some("s0"));
-                assert_eq!(loops, 2);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -64,13 +64,12 @@ pub use roboshape_blocksparse::{
 pub use roboshape_codegen::{check_bundle, emit_verilog, lint, VerilogBundle};
 pub use roboshape_dse::{
     co_design, constrained_selection, design_space_stats, evaluate_strategies,
-    evaluate_strategies_with, pareto_frontier, sweep_design_space, sweep_design_space_barrier,
-    sweep_design_space_barrier_with, sweep_design_space_exhaustive_with, sweep_design_space_grid,
-    sweep_design_space_grid_with, sweep_design_space_pruned, sweep_design_space_pruned_with,
-    sweep_design_space_with, verify_frontier, AllocationStrategy, ConstrainedSelection,
-    DesignPoint, DesignSpaceStats, FrontierVerification, PrunedSweep, Quartiles, SocAllocation,
-    StrategyOutcome, SweepGrid, FRAG_HITS_METRIC as DSE_FRAG_HITS_METRIC,
-    FRAG_MISSES_METRIC as DSE_FRAG_MISSES_METRIC,
+    evaluate_strategies_with, pareto_frontier, sweep_design_space,
+    sweep_design_space_exhaustive_with, sweep_design_space_grid, sweep_design_space_grid_with,
+    sweep_design_space_pruned, sweep_design_space_pruned_with, sweep_design_space_with,
+    verify_frontier, AllocationStrategy, ConstrainedSelection, DesignPoint, DesignSpaceStats,
+    FrontierVerification, PrunedSweep, Quartiles, SocAllocation, StrategyOutcome, SweepGrid,
+    FRAG_HITS_METRIC as DSE_FRAG_HITS_METRIC, FRAG_MISSES_METRIC as DSE_FRAG_MISSES_METRIC,
 };
 pub use roboshape_dynamics::{Dynamics, FdDerivatives, ForwardKinematics, RneaDerivatives};
 pub use roboshape_pipeline::{

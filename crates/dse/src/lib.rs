@@ -21,9 +21,6 @@
 //!   grid: a streaming Pareto skyline plus makespan monotonicity prune
 //!   provably dominated rows *before* scheduling them, bit-identical to
 //!   the exhaustive frontier by construction;
-//! * [`sweep_design_space_barrier`] — the same grid under stage-barrier
-//!   schedules, computed as two `N`-schedule half-sweeps (the barrier
-//!   makespan separates per PE class; pipelining couples them);
 //! * [`pareto_frontier`] — the latency/LUT Pareto front of Fig. 12;
 //! * [`AllocationStrategy`] / [`evaluate_strategies`] — the six
 //!   resource-allocation strategies of Fig. 13 (Total Links, Average and
@@ -65,10 +62,9 @@ pub use strategies::{
     evaluate_strategies, evaluate_strategies_with, AllocationStrategy, StrategyOutcome,
 };
 pub use sweep::{
-    pareto_frontier, sweep_design_space, sweep_design_space_barrier,
-    sweep_design_space_barrier_with, sweep_design_space_exhaustive_with, sweep_design_space_grid,
-    sweep_design_space_grid_with, sweep_design_space_pruned, sweep_design_space_pruned_with,
-    sweep_design_space_with, DesignPoint, PrunedSweep, SweepGrid, FRAG_HITS_METRIC,
-    FRAG_MISSES_METRIC, PRUNED_POINTS_METRIC, PRUNED_ROWS_METRIC,
+    pareto_frontier, sweep_design_space, sweep_design_space_exhaustive_with,
+    sweep_design_space_grid, sweep_design_space_grid_with, sweep_design_space_pruned,
+    sweep_design_space_pruned_with, sweep_design_space_with, DesignPoint, PrunedSweep, SweepGrid,
+    FRAG_HITS_METRIC, FRAG_MISSES_METRIC, PRUNED_POINTS_METRIC, PRUNED_ROWS_METRIC,
 };
 pub use verify::{verify_frontier, FrontierVerification};

@@ -29,7 +29,7 @@ use roboshape_arch::{AcceleratorKnobs, DseModel, KernelKind, MatmulUnits, Resour
 use roboshape_blocksparse::{block_matmul_latency, MatmulLatencyModel};
 use roboshape_obs as obs;
 use roboshape_pipeline::{FragmentHasher, FragmentId, PatternKind, Pipeline, PipelineStage};
-use roboshape_taskgraph::{schedule_makespan, Schedule, SchedulerConfig, Stage, TaskGraph};
+use roboshape_taskgraph::{schedule_makespan, SchedulerConfig, TaskGraph};
 use roboshape_topology::Topology;
 
 const KERNEL: KernelKind = KernelKind::DynamicsGradient;
@@ -169,8 +169,8 @@ fn note_fragment(pipeline: &Pipeline, stage: PipelineStage, hit: bool) {
 
 /// The `(pe_fwd, pe_bwd)` traversal makespan through the fragment store.
 /// A miss schedules through the Schedules stage (populating the coarse
-/// store with the full [`Schedule`] artifact as before) and memoizes the
-/// scalar.
+/// store with the full [`Schedule`](roboshape_taskgraph::Schedule)
+/// artifact as before) and memoizes the scalar.
 pub(crate) fn traversal_makespan(
     pipeline: &Pipeline,
     topo: &Topology,
@@ -187,9 +187,9 @@ pub(crate) fn traversal_makespan(
 
 /// [`traversal_makespan`] through the makespan-only scheduler entry
 /// point: a miss runs [`roboshape_taskgraph::schedule_makespan`] — no
-/// entry list, no full [`Schedule`] artifact — and memoizes the scalar
-/// under the *same* fragment id, so pruned and exhaustive sweeps share
-/// warmth in both directions.
+/// entry list, no full [`Schedule`](roboshape_taskgraph::Schedule)
+/// artifact — and memoizes the scalar under the *same* fragment id, so
+/// pruned and exhaustive sweeps share warmth in both directions.
 fn traversal_makespan_fast(
     pipeline: &Pipeline,
     graph: &TaskGraph,
@@ -248,15 +248,6 @@ fn mm_latency_fast(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
     }
     note_fragment(pipeline, PipelineStage::BlockPlans, hit);
     v
-}
-
-/// Per-block-size latencies of the blocked `M⁻¹` multiply for block sizes
-/// `1..=N`, through the fragment store. The left operand is M⁻¹ (fills in
-/// vs. M at mid-limb branches), so latency is modeled on its pattern.
-fn mm_latencies(pipeline: &Pipeline, topo: &Topology) -> Vec<u64> {
-    (1..=topo.len())
-        .map(|b| mm_latency(pipeline, topo, b))
-        .collect()
 }
 
 fn point(
@@ -445,77 +436,6 @@ pub fn sweep_design_space_exhaustive_with(
         }
     }
     pipeline.observer().add_points(points.len() as u64);
-    points
-}
-
-/// The `N³` design space under *stage-barrier* (non-pipelined) schedules,
-/// through [`Pipeline::global`].
-pub fn sweep_design_space_barrier(topo: &Topology) -> Vec<DesignPoint> {
-    sweep_design_space_barrier_with(Pipeline::global(), topo)
-}
-
-/// [`sweep_design_space_barrier`] against an explicit pipeline.
-///
-/// With a barrier between stages the makespan separates: the RNEA/∇RNEA
-/// forward stages run only on forward PEs and the backward stages only on
-/// backward PEs, so `makespan(PEf, PEb) = F(PEf) + B(PEb)`. That permits
-/// two *half-sweeps* — `N` schedules varying `PEf` plus `N` varying `PEb`
-/// — instead of the `N²` a pipelined sweep needs (cross-stage pipelining
-/// couples the two PE classes, so no such split exists there). The
-/// decomposition is asserted against brute force in this module's tests.
-pub fn sweep_design_space_barrier_with(pipeline: &Pipeline, topo: &Topology) -> Vec<DesignPoint> {
-    let _span = obs::span(OBS_CATEGORY, "sweep-barrier");
-    let sweep_start = Instant::now();
-    let n = topo.len();
-    let graph = pipeline.task_graph(topo, KERNEL);
-    let duration = |s: &Schedule, stage: Stage| -> u64 {
-        s.stage_span(&graph, stage)
-            .map_or(0, |(start, end)| end - start)
-    };
-    let half = |fwd: bool| -> Vec<u64> {
-        (1..=n)
-            .map(|pe| {
-                let (pe_fwd, pe_bwd) = if fwd { (pe, 1) } else { (1, pe) };
-                let cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd).without_pipelining();
-                let s = pipeline.schedule_for(topo, KERNEL, &cfg);
-                if fwd {
-                    duration(&s, Stage::RneaFwd) + duration(&s, Stage::GradFwd)
-                } else {
-                    duration(&s, Stage::RneaBwd) + duration(&s, Stage::GradBwd)
-                }
-            })
-            .collect()
-    };
-    let fwd_cycles = half(true);
-    let bwd_cycles = half(false);
-    let mm_latency = mm_latencies(pipeline, topo);
-
-    let mut points = Vec::with_capacity(n * n * n);
-    for pe_fwd in 1..=n {
-        for pe_bwd in 1..=n {
-            let makespan = fwd_cycles[pe_fwd - 1] + bwd_cycles[pe_bwd - 1];
-            for block in 1..=n {
-                points.push(point(
-                    n,
-                    pe_fwd,
-                    pe_bwd,
-                    block,
-                    makespan,
-                    mm_latency[block - 1],
-                ));
-            }
-        }
-    }
-    let count = (n * n * n) as u64;
-    pipeline.observer().add_points(count);
-    let wall = sweep_start.elapsed();
-    // Single-threaded: the whole sweep is its own busy time.
-    record_sweep_metrics(
-        count,
-        wall,
-        u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-        1,
-    );
     points
 }
 
@@ -964,52 +884,6 @@ mod tests {
         record_sweep_metrics(10, std::time::Duration::from_millis(1), 1_000_000, 2);
         assert!((m.gauge("dse.worker_utilization_pct").get() - 50.0).abs() < 1e-6);
         assert_eq!(m.counter("dse.worker_oversubscribed").get(), before + 1);
-    }
-
-    #[test]
-    fn barrier_half_sweep_matches_brute_force() {
-        // The N+N half-sweep decomposition makespan(PEf, PEb) =
-        // F(PEf) + B(PEb) must reproduce the full N² barrier schedules —
-        // including on a mid-limb-branching topology.
-        let branched =
-            Topology::new(vec![None, Some(0), Some(1), Some(2), Some(2), Some(4)]).unwrap();
-        for topo in [
-            Topology::chain(5),
-            branched,
-            zoo(Zoo::Hyq).topology().clone(),
-        ] {
-            let n = topo.len();
-            let graph = roboshape_taskgraph::TaskGraph::dynamics_gradient(&topo);
-            let half = sweep_design_space_barrier_with(&Pipeline::new(), &topo);
-            for pe_fwd in 1..=n {
-                for pe_bwd in 1..=n {
-                    let cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd).without_pipelining();
-                    let brute = roboshape_taskgraph::schedule(&graph, &cfg).makespan();
-                    let p = half
-                        .iter()
-                        .find(|p| p.pe_fwd == pe_fwd && p.pe_bwd == pe_bwd && p.block == 1)
-                        .unwrap();
-                    assert_eq!(
-                        p.traversal_cycles, brute,
-                        "n={n} PEf={pe_fwd} PEb={pe_bwd}: half-sweep diverges"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_sweep_covers_grid_and_bounds_pipelined() {
-        let topo = zoo(Zoo::Jaco2).topology().clone();
-        let pipeline = Pipeline::new();
-        let barrier = sweep_design_space_barrier_with(&pipeline, &topo);
-        let pipelined = sweep_design_space_with(&pipeline, &topo);
-        assert_eq!(barrier.len(), pipelined.len());
-        for (b, p) in barrier.iter().zip(&pipelined) {
-            assert_eq!((b.pe_fwd, b.pe_bwd, b.block), (p.pe_fwd, p.pe_bwd, p.block));
-            // Removing cross-stage pipelining can only lengthen traversal.
-            assert!(b.traversal_cycles >= p.traversal_cycles);
-        }
     }
 
     #[test]

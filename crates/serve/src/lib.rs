@@ -23,9 +23,9 @@
 //!   points.
 //! * A **TCP front-end** ([`Server`]) speaking length-prefixed binary
 //!   frames (see [`proto`]), with a matching blocking [`Client`]. The
-//!   server is event-driven: a bounded set of readiness loops (epoll on
-//!   Linux, `poll(2)` elsewhere — see [`net`]) services every
-//!   connection without a thread per socket. A request that is the only
+//!   server is event-driven: one readiness loop on a [`net::Reactor`]
+//!   (epoll on Linux, `poll(2)` elsewhere) services every connection
+//!   without a thread per socket. A request that is the only
 //!   frame a loop wake read goes through [`Engine::submit_or_run`],
 //!   which runs it on the loop thread when the engine is idle (nothing
 //!   queued or executing on a worker) and a worker arena is free,
@@ -34,7 +34,8 @@
 //!   ring ([`HashRing`]) and [`Router`] fans client traffic across N
 //!   shards with per-shard admission control and shard-level failover
 //!   (crashed shard → pending requests re-dispatched to the next ring
-//!   preference, answers tagged `Rerouted`).
+//!   preference, answers tagged `Rerouted`). The router runs on the
+//!   same [`net::Reactor`] core as the server.
 //! * A **load generator** ([`loadgen`]) driving a server open- or
 //!   closed-loop and reporting a latency/throughput summary.
 //!
@@ -131,7 +132,7 @@ pub use fault::{
     FaultPlan, FaultSite,
 };
 pub use router::{Router, RouterConfig, RouterStats};
-pub use server::{Client, Server, ServerOptions};
+pub use server::{Client, Server};
 pub use shard::{HashRing, Shard, ShardSpec, VNODES_PER_SHARD};
 
 /// Tracing-span category used by every span this crate opens.

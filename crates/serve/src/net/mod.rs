@@ -1,25 +1,30 @@
 //! Event-driven networking substrate for the serve tier.
 //!
-//! Two layers, both dependency-free:
+//! Three layers, all dependency-free:
 //!
 //! * [`poll`] — the readiness poller ([`poll::Poller`], [`poll::Waker`]):
 //!   level-triggered `epoll` on Linux, `poll(2)` elsewhere.
 //! * [`FrameConn`] — a non-blocking connection speaking the
 //!   length-prefixed, checksummed framing of [`crate::proto`]. It owns
 //!   the partial-frame reassembly buffer on the read side and a pending
-//!   byte queue on the write side, so an event loop can service
-//!   thousands of connections from one thread: readable events feed
+//!   byte queue on the write side: readable events feed
 //!   [`FrameConn::read_frames`], writable events drain
 //!   [`FrameConn::flush`], and neither ever blocks.
+//! * [`Reactor`] — the one event-loop core: poller, waker, listener and
+//!   a token table of [`FrameConn`]s, with accept, the read pass, typed
+//!   framing-violation goodbyes, per-wake flushing and interest
+//!   bookkeeping. One thread services thousands of connections with it.
 //!
 //! The single-engine [`crate::Server`] and the cluster
-//! [`crate::Router`] both build their loops from these pieces; the
-//! protocol state machines (ordered replies, pending-request maps,
-//! failover) stay in their owners.
+//! [`crate::Router`] each run one [`Reactor`] and keep only their
+//! protocol state (ordered replies, pending-request maps, failover).
 
 pub mod poll;
+mod reactor;
 
-use crate::proto::{checksum, HEADER_LEN, MAX_FRAME};
+pub use reactor::{Burst, Reactor};
+
+use crate::proto::{checksum, ProtoError, HEADER_LEN, MAX_FRAME};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -39,6 +44,15 @@ pub enum FrameViolation {
     TooLarge(u64),
     /// A fully-received body failed its CRC-32C checksum.
     BadChecksum,
+}
+
+impl From<FrameViolation> for ProtoError {
+    fn from(violation: FrameViolation) -> ProtoError {
+        match violation {
+            FrameViolation::TooLarge(len) => ProtoError::FrameTooLarge(len),
+            FrameViolation::BadChecksum => ProtoError::ChecksumMismatch,
+        }
+    }
 }
 
 /// What a read pass produced (besides the delivered frames).

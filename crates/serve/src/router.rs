@@ -27,21 +27,22 @@
 //!    from the analytical model; with *no* shard alive the router sheds
 //!    with a typed `Rejected` and health probes report `ready=false`.
 //!
-//! Everything runs on one event-loop thread built from the same
-//! [`crate::net`] pieces as the shard server: client sockets and
-//! upstream shard sockets sit in the same poller, so a response's path
-//! through the router is wake → patch id → queue → flush, with no
-//! cross-thread handoff. A dead shard is redialed every
-//! `reconnect_interval` and re-enters the ring (hello handshake, then
-//! alive) without dropping anything.
+//! Everything runs on one event-loop thread over the same
+//! [`crate::net::Reactor`] as the shard server: client sockets and
+//! upstream shard sockets sit in one connection table, so a response's
+//! path through the router is wake → patch id → queue → one flush per
+//! wake, with no cross-thread handoff, and framing violations from
+//! clients get the server's typed goodbye. A dead shard is redialed
+//! every `reconnect_interval` and re-enters the ring (hello handshake,
+//! then alive) without dropping anything.
 
-use crate::engine::{HealthReport, ServeError, ServePayload};
-use crate::net::poll::{Interest, Poller, WakeRx, Waker, WAKE_TOKEN};
-use crate::net::{FlushOutcome, FrameConn, FrameViolation, ReadOutcome};
+use crate::engine::{HealthReport, RobotHealth, ServeError, ServePayload, ServeResult};
+use crate::net::poll::Waker;
+use crate::net::Reactor;
 use crate::proto::{
     decode_hello_response, decode_response, encode_health_request, encode_hello_request,
     encode_hello_response, encode_response, frame_bytes, peek_request_route, peek_response_head,
-    rewrite_id, status_is_hello, HelloInfo, ProtoError, ResponseFrame,
+    rewrite_id, status_is_hello, HelloInfo, ResponseFrame,
 };
 use crate::shard::{HashRing, ShardSpec};
 use crate::{
@@ -53,14 +54,10 @@ use roboshape_obs::{self as obs, Counter, Gauge, MetricsRegistry};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Poller token of the accept listener.
-const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
 /// How long the loop sleeps in `wait` before re-checking the stop flag
 /// and the reconnect schedule.
@@ -188,18 +185,16 @@ impl Router {
         let metrics = RouterMetrics::new(registry);
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let (reactor, waker) = Reactor::new(Some(listener))?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(RouterStats::default());
-        let (waker, wake_rx) = Waker::new()?;
         let mut inner = RouterLoop::new(
             config,
-            listener,
-            wake_rx,
+            reactor,
             Arc::clone(&stop),
             Arc::clone(&stats),
             metrics,
-        )?;
+        );
         let thread = std::thread::spawn(move || inner.run());
         Ok(Router {
             addr: local,
@@ -264,26 +259,18 @@ struct FanOut {
     reports: Vec<(usize, HealthReport)>,
 }
 
-struct ClientConn {
-    conn: FrameConn,
-    interest: Interest,
-    closing: bool,
-}
-
-enum LinkState {
-    Down,
-    Up {
-        conn: FrameConn,
-        token: u64,
-        interest: Interest,
-        pending: HashMap<u64, Pending>,
-        hello: Option<HelloInfo>,
-    },
+/// An upstream shard connection that is up.
+struct Link {
+    token: u64,
+    /// Upstream correlation id → what it is waiting for.
+    pending: HashMap<u64, Pending>,
+    /// The shard's handshake answer, once it arrives.
+    hello: Option<HelloInfo>,
 }
 
 struct ShardLink {
     spec: ShardSpec,
-    state: LinkState,
+    link: Option<Link>,
     last_attempt: Option<Instant>,
 }
 
@@ -292,16 +279,13 @@ struct RouterLoop {
     stop: Arc<AtomicBool>,
     stats: Arc<RouterStats>,
     metrics: RouterMetrics,
-    poller: Poller,
-    wake_rx: WakeRx,
-    listener: TcpListener,
+    reactor: Reactor,
     ring: HashRing,
-    clients: HashMap<u64, ClientConn>,
     shards: Vec<ShardLink>,
-    /// token → shard index, for upstream connections.
+    /// token → shard index, for upstream connections; every other token
+    /// is a client.
     shard_tokens: HashMap<u64, usize>,
     fanouts: HashMap<u64, FanOut>,
-    next_token: u64,
     next_uid: u64,
     next_fanout: u64,
 }
@@ -309,92 +293,98 @@ struct RouterLoop {
 impl RouterLoop {
     fn new(
         config: RouterConfig,
-        listener: TcpListener,
-        wake_rx: WakeRx,
+        reactor: Reactor,
         stop: Arc<AtomicBool>,
         stats: Arc<RouterStats>,
         metrics: RouterMetrics,
-    ) -> io::Result<RouterLoop> {
-        let mut poller = Poller::new()?;
-        poller.register(wake_rx.fd(), WAKE_TOKEN, Interest::READABLE)?;
-        poller.register(listener.as_raw_fd(), LISTEN_TOKEN, Interest::READABLE)?;
-        let ring = HashRing::new(
-            &config
-                .shards
-                .iter()
-                .map(|s| s.name.clone())
-                .collect::<Vec<_>>(),
-        );
+    ) -> RouterLoop {
+        let names: Vec<String> = config.shards.iter().map(|s| s.name.clone()).collect();
         let shards = config
             .shards
             .iter()
             .map(|spec| ShardLink {
                 spec: spec.clone(),
-                state: LinkState::Down,
+                link: None,
                 last_attempt: None,
             })
             .collect();
-        Ok(RouterLoop {
+        RouterLoop {
+            ring: HashRing::new(&names),
             config,
             stop,
             stats,
             metrics,
-            poller,
-            wake_rx,
-            listener,
-            ring,
-            clients: HashMap::new(),
+            reactor,
             shards,
             shard_tokens: HashMap::new(),
             fanouts: HashMap::new(),
-            next_token: 0,
             next_uid: 0,
             next_fanout: 0,
-        })
+        }
     }
 
     fn run(&mut self) {
         let _span = obs::span(OBS_CATEGORY, "router-loop");
-        let mut events = Vec::new();
+        let mut bursts = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
             self.redial_down_shards();
-            events.clear();
-            if self.poller.wait(&mut events, Some(TICK)).is_err() {
+            if self.reactor.wait(TICK, &mut bursts).is_err() {
                 break;
             }
-            let drained = std::mem::take(&mut events);
-            for event in &drained {
-                match event.token {
-                    WAKE_TOKEN => self.wake_rx.drain(),
-                    LISTEN_TOKEN => self.accept_ready(),
-                    token if self.shard_tokens.contains_key(&token) => {
-                        let idx = self.shard_tokens[&token];
-                        self.shard_ready(idx, event.readable, event.hangup);
+            for burst in bursts.drain(..) {
+                match self.shard_tokens.get(&burst.token).copied() {
+                    Some(idx) => {
+                        for body in burst.frames {
+                            self.handle_shard_frame(idx, body);
+                        }
+                        // A framing violation from a shard (possible under
+                        // injected wire corruption) desyncs the stream
+                        // exactly like a crash: fail the link and
+                        // re-dispatch.
+                        if burst.violation.is_some() {
+                            self.fail_shard(idx);
+                        }
                     }
-                    token => self.client_ready(token, event.readable, event.hangup),
+                    None => {
+                        for body in burst.frames {
+                            self.handle_client_frame(burst.token, body);
+                        }
+                        if let Some(violation) = burst.violation {
+                            self.reactor.goodbye(burst.token, violation);
+                        }
+                    }
                 }
             }
-            events = drained;
+            self.flush();
             self.publish_gauges();
         }
         self.metrics.shards_alive.set(0.0);
         self.metrics.inflight.set(0.0);
     }
 
+    /// Flushes the wake's output and cleans up after connections that
+    /// died: a lost shard fails over, which may queue more output, so
+    /// repeat until no connection dies.
+    fn flush(&mut self) {
+        loop {
+            let dead = self.reactor.flush();
+            if dead.is_empty() {
+                return;
+            }
+            for token in dead {
+                match self.shard_tokens.get(&token).copied() {
+                    Some(idx) => self.fail_shard(idx),
+                    // Pending upstream entries for this client stay in
+                    // flight; their responses miss on arrival.
+                    None => self.fanouts.retain(|_, f| f.token != token),
+                }
+            }
+        }
+    }
+
     fn publish_gauges(&self) {
-        let alive = self
-            .shards
-            .iter()
-            .filter(|s| matches!(s.state, LinkState::Up { .. }))
-            .count();
-        let inflight: usize = self
-            .shards
-            .iter()
-            .map(|s| match &s.state {
-                LinkState::Up { pending, .. } => pending.len(),
-                LinkState::Down => 0,
-            })
-            .sum();
+        let links = self.shards.iter().filter_map(|s| s.link.as_ref());
+        let (alive, inflight) = links.fold((0, 0), |(a, n), l| (a + 1, n + l.pending.len()));
         self.metrics.shards_alive.set(alive as f64);
         self.metrics.inflight.set(inflight as f64);
     }
@@ -403,150 +393,42 @@ impl RouterLoop {
     /// sends the hello handshake on success.
     fn redial_down_shards(&mut self) {
         for idx in 0..self.shards.len() {
-            let due = {
-                let link = &self.shards[idx];
-                matches!(link.state, LinkState::Down)
-                    && link
-                        .last_attempt
-                        .is_none_or(|t| t.elapsed() >= self.config.reconnect_interval)
-            };
+            let link = &mut self.shards[idx];
+            let due = link.link.is_none()
+                && link
+                    .last_attempt
+                    .is_none_or(|t| t.elapsed() >= self.config.reconnect_interval);
             if !due {
                 continue;
             }
-            self.shards[idx].last_attempt = Some(Instant::now());
-            let addr = self.shards[idx].spec.addr;
-            let stream = match TcpStream::connect_timeout(&addr, self.config.connect_timeout) {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let conn = match FrameConn::new(stream) {
-                Ok(c) => c,
-                Err(_) => continue,
-            };
-            let token = self.next_token;
-            self.next_token += 1;
-            if self
-                .poller
-                .register(conn.fd(), token, Interest::READABLE)
-                .is_err()
-            {
+            link.last_attempt = Some(Instant::now());
+            let Ok(stream) =
+                TcpStream::connect_timeout(&link.spec.addr, self.config.connect_timeout)
+            else {
                 continue;
-            }
-            self.shard_tokens.insert(token, idx);
-            self.shards[idx].state = LinkState::Up {
-                conn,
-                token,
-                interest: Interest::READABLE,
-                pending: HashMap::new(),
-                hello: None,
+            };
+            let Ok(token) = self.reactor.add(stream) else {
+                continue;
             };
             let uid = self.next_uid;
             self.next_uid += 1;
-            let wire = frame_bytes(&encode_hello_request(uid));
-            if let LinkState::Up { conn, pending, .. } = &mut self.shards[idx].state {
-                pending.insert(uid, Pending::Hello);
-                conn.queue_wire(&wire);
-            }
-            self.flush_shard(idx);
+            self.shard_tokens.insert(token, idx);
+            self.shards[idx].link = Some(Link {
+                token,
+                pending: HashMap::from([(uid, Pending::Hello)]),
+                hello: None,
+            });
+            self.reactor
+                .send(token, &frame_bytes(&encode_hello_request(uid)));
+            self.flush();
         }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let conn = match FrameConn::new(stream) {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(conn.fd(), token, Interest::READABLE)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.clients.insert(
-                        token,
-                        ClientConn {
-                            conn,
-                            interest: Interest::READABLE,
-                            closing: false,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn client_ready(&mut self, token: u64, readable: bool, hangup: bool) {
-        if readable {
-            let (bodies, outcome) = {
-                let client = match self.clients.get_mut(&token) {
-                    Some(c) => c,
-                    None => return,
-                };
-                if client.closing {
-                    (Vec::new(), ReadOutcome::Open)
-                } else {
-                    let mut bodies = Vec::new();
-                    let outcome = client.conn.read_frames(|b| bodies.push(b));
-                    (bodies, outcome)
-                }
-            };
-            for body in bodies {
-                self.handle_client_frame(token, body);
-            }
-            match outcome {
-                ReadOutcome::Open => {}
-                ReadOutcome::Closed => {
-                    self.drop_client(token);
-                    return;
-                }
-                ReadOutcome::Violation(v) => {
-                    let err = match v {
-                        FrameViolation::TooLarge(len) => ProtoError::FrameTooLarge(len),
-                        FrameViolation::BadChecksum => ProtoError::ChecksumMismatch,
-                    };
-                    let wire = frame_bytes(&encode_response(&ResponseFrame::direct(
-                        0,
-                        Err(ServeError::BadRequest(err.to_string())),
-                    )));
-                    if let Some(client) = self.clients.get_mut(&token) {
-                        client.conn.queue_wire(&wire);
-                        client.closing = true;
-                    }
-                }
-            }
-        }
-        if hangup {
-            let gone = self
-                .clients
-                .get(&token)
-                .is_some_and(|c| !c.conn.wants_write());
-            if gone {
-                self.drop_client(token);
-                return;
-            }
-        }
-        self.reconcile_client(token);
     }
 
     fn handle_client_frame(&mut self, token: u64, body: Vec<u8>) {
         let route = match peek_request_route(&body) {
             Ok(r) => r,
             Err(e) => {
-                self.send_to_client(
-                    token,
-                    &frame_bytes(&encode_response(&ResponseFrame::direct(
-                        0,
-                        Err(ServeError::BadRequest(e.to_string())),
-                    ))),
-                );
+                self.send_result(token, 0, Err(ServeError::BadRequest(e.to_string())));
                 return;
             }
         };
@@ -563,13 +445,8 @@ impl RouterLoop {
                 let mut robots: Vec<String> = self
                     .shards
                     .iter()
-                    .filter_map(|s| match &s.state {
-                        LinkState::Up {
-                            hello: Some(info), ..
-                        } => Some(info.robots.clone()),
-                        _ => None,
-                    })
-                    .flatten()
+                    .filter_map(|s| s.link.as_ref()?.hello.as_ref())
+                    .flat_map(|info| info.robots.iter().cloned())
                     .collect();
                 robots.sort_unstable();
                 robots.dedup();
@@ -580,7 +457,7 @@ impl RouterLoop {
                         robots,
                     },
                 ));
-                self.send_to_client(token, &wire);
+                self.reactor.send(token, &wire);
                 return;
             }
         };
@@ -601,16 +478,16 @@ impl RouterLoop {
     /// robot's preference order, shedding typed errors when the ladder
     /// runs out. Re-used verbatim by failover (with `rerouted` set).
     fn dispatch(&mut self, entry: Pending) {
-        let (token, id, robot, body, mut rerouted, attempts) = match entry {
-            Pending::Client {
-                token,
-                id,
-                robot,
-                body,
-                rerouted,
-                attempts,
-            } => (token, id, robot, body, rerouted, attempts),
-            _ => return,
+        let Pending::Client {
+            token,
+            id,
+            robot,
+            body,
+            mut rerouted,
+            attempts,
+        } = entry
+        else {
+            return;
         };
         if attempts >= self.shards.len().max(1) {
             self.shed(token, id, "request bounced across every shard".to_string());
@@ -622,33 +499,23 @@ impl RouterLoop {
             self.ring.preference(&robot)
         };
         let owner = preference.first().copied();
-        let chosen = preference
+        let Some(chosen) = preference
             .into_iter()
-            .find(|&idx| matches!(self.shards[idx].state, LinkState::Up { .. }));
-        let chosen = match chosen {
-            Some(c) => c,
-            None => {
-                self.shed(token, id, format!("no shard alive for robot {robot}"));
-                return;
-            }
+            .find(|&idx| self.shards[idx].link.is_some())
+        else {
+            self.shed(token, id, format!("no shard alive for robot {robot}"));
+            return;
         };
         if Some(chosen) != owner {
             rerouted = true;
         }
-        let over_cap = match &self.shards[chosen].state {
-            LinkState::Up { pending, .. } => pending.len() >= self.config.max_inflight_per_shard,
-            LinkState::Down => true,
-        };
-        if over_cap {
-            let name = self.shards[chosen].spec.name.clone();
-            self.shed(
-                token,
-                id,
-                format!(
-                    "shard {name} at capacity ({} in flight)",
-                    self.config.max_inflight_per_shard
-                ),
+        let link = self.shards[chosen].link.as_mut().expect("chosen alive");
+        if link.pending.len() >= self.config.max_inflight_per_shard {
+            let reason = format!(
+                "shard {} at capacity ({} in flight)",
+                self.shards[chosen].spec.name, self.config.max_inflight_per_shard
             );
+            self.shed(token, id, reason);
             return;
         }
         if rerouted {
@@ -659,48 +526,37 @@ impl RouterLoop {
         self.next_uid += 1;
         let mut upstream_body = body.clone();
         rewrite_id(&mut upstream_body, uid, false);
-        let wire = frame_bytes(&upstream_body);
-        if let LinkState::Up { conn, pending, .. } = &mut self.shards[chosen].state {
-            pending.insert(
-                uid,
-                Pending::Client {
-                    token,
-                    id,
-                    robot,
-                    body,
-                    rerouted,
-                    attempts: attempts + 1,
-                },
-            );
-            conn.queue_wire(&wire);
-        }
-        self.flush_shard(chosen);
+        self.reactor.send(link.token, &frame_bytes(&upstream_body));
+        link.pending.insert(
+            uid,
+            Pending::Client {
+                token,
+                id,
+                robot,
+                body,
+                rerouted,
+                attempts: attempts + 1,
+            },
+        );
     }
 
     /// Typed router-side rejection (admission cap or an empty fleet).
     fn shed(&mut self, token: u64, id: u64, reason: String) {
         self.stats.shed.fetch_add(1, Ordering::Relaxed);
         self.metrics.shed.add(1);
-        let wire = frame_bytes(&encode_response(&ResponseFrame::direct(
-            id,
-            Err(ServeError::Rejected { reason }),
-        )));
-        self.send_to_client(token, &wire);
+        self.send_result(token, id, Err(ServeError::Rejected { reason }));
     }
 
     fn fan_out_health(&mut self, token: u64, id: u64) {
         let alive: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| matches!(self.shards[i].state, LinkState::Up { .. }))
+            .filter(|&i| self.shards[i].link.is_some())
             .collect();
         if alive.is_empty() {
-            let wire = frame_bytes(&encode_response(&ResponseFrame::direct(
-                id,
-                Ok(ServePayload::Health(HealthReport {
-                    ready: false,
-                    robots: Vec::new(),
-                })),
-            )));
-            self.send_to_client(token, &wire);
+            let report = HealthReport {
+                ready: false,
+                robots: Vec::new(),
+            };
+            self.send_result(token, id, Ok(ServePayload::Health(report)));
             return;
         }
         let fanout_id = self.next_fanout;
@@ -717,12 +573,11 @@ impl RouterLoop {
         for idx in alive {
             let uid = self.next_uid;
             self.next_uid += 1;
-            let wire = frame_bytes(&encode_health_request(uid));
-            if let LinkState::Up { conn, pending, .. } = &mut self.shards[idx].state {
-                pending.insert(uid, Pending::HealthFan { fanout: fanout_id });
-                conn.queue_wire(&wire);
-            }
-            self.flush_shard(idx);
+            let link = self.shards[idx].link.as_mut().expect("alive");
+            link.pending
+                .insert(uid, Pending::HealthFan { fanout: fanout_id });
+            self.reactor
+                .send(link.token, &frame_bytes(&encode_health_request(uid)));
         }
     }
 
@@ -736,7 +591,7 @@ impl RouterLoop {
             None => return,
         };
         let ready = fanout.reports.iter().any(|(_, r)| r.ready);
-        let mut best: HashMap<String, (usize, crate::engine::RobotHealth)> = HashMap::new();
+        let mut best: HashMap<String, (usize, RobotHealth)> = HashMap::new();
         for (shard_idx, report) in &fanout.reports {
             for robot in &report.robots {
                 let rank = self
@@ -753,75 +608,38 @@ impl RouterLoop {
                 }
             }
         }
-        let mut robots: Vec<crate::engine::RobotHealth> =
-            best.into_values().map(|(_, r)| r).collect();
+        let mut robots: Vec<RobotHealth> = best.into_values().map(|(_, r)| r).collect();
         robots.sort_by(|a, b| a.name.cmp(&b.name));
-        let wire = frame_bytes(&encode_response(&ResponseFrame::direct(
-            fanout.id,
-            Ok(ServePayload::Health(HealthReport { ready, robots })),
-        )));
-        self.send_to_client(fanout.token, &wire);
+        let report = HealthReport { ready, robots };
+        self.send_result(fanout.token, fanout.id, Ok(ServePayload::Health(report)));
     }
 
-    fn shard_ready(&mut self, idx: usize, readable: bool, hangup: bool) {
-        if readable {
-            let (bodies, outcome) = {
-                let link = &mut self.shards[idx];
-                match &mut link.state {
-                    LinkState::Up { conn, .. } => {
-                        let mut bodies = Vec::new();
-                        let outcome = conn.read_frames(|b| bodies.push(b));
-                        (bodies, outcome)
-                    }
-                    LinkState::Down => return,
-                }
-            };
-            for body in bodies {
-                self.handle_shard_frame(idx, body);
-            }
-            match outcome {
-                ReadOutcome::Open => {}
-                // A framing violation from a shard (possible under
-                // injected wire corruption) desyncs the stream exactly
-                // like a crash: fail the link and re-dispatch.
-                ReadOutcome::Closed | ReadOutcome::Violation(_) => {
-                    self.fail_shard(idx);
-                    return;
-                }
-            }
+    /// Counts one shard leg of a fan-out as settled.
+    fn settle_leg(&mut self, fanout: u64) {
+        let done = self.fanouts.get_mut(&fanout).is_some_and(|f| {
+            f.remaining -= 1;
+            f.remaining == 0
+        });
+        if done {
+            self.finish_fanout(fanout);
         }
-        if hangup {
-            let dead = match &self.shards[idx].state {
-                LinkState::Up { conn, .. } => !conn.wants_write(),
-                LinkState::Down => false,
-            };
-            if dead {
-                self.fail_shard(idx);
-                return;
-            }
-        }
-        self.flush_shard(idx);
     }
 
     fn handle_shard_frame(&mut self, idx: usize, mut body: Vec<u8>) {
-        let (uid, raw_status) = match peek_response_head(&body) {
-            Ok(head) => head,
-            Err(_) => return,
+        let Ok((uid, raw_status)) = peek_response_head(&body) else {
+            return;
         };
-        let entry = match &mut self.shards[idx].state {
-            LinkState::Up { pending, .. } => match pending.remove(&uid) {
-                Some(e) => e,
-                None => return,
-            },
-            LinkState::Down => return,
+        let Some(link) = self.shards[idx].link.as_mut() else {
+            return;
+        };
+        let Some(entry) = link.pending.remove(&uid) else {
+            return;
         };
         match entry {
             Pending::Hello => {
                 if status_is_hello(raw_status) {
                     if let Ok((_, info)) = decode_hello_response(&body) {
-                        if let LinkState::Up { hello, .. } = &mut self.shards[idx].state {
-                            *hello = Some(info);
-                        }
+                        link.hello = Some(info);
                     }
                 }
             }
@@ -833,19 +651,7 @@ impl RouterLoop {
                         }
                     }
                 }
-                let done = {
-                    let f = self.fanouts.get_mut(&fanout);
-                    match f {
-                        Some(f) => {
-                            f.remaining -= 1;
-                            f.remaining == 0
-                        }
-                        None => false,
-                    }
-                };
-                if done {
-                    self.finish_fanout(fanout);
-                }
+                self.settle_leg(fanout);
             }
             Pending::Client {
                 token,
@@ -854,10 +660,9 @@ impl RouterLoop {
                 ..
             } => {
                 rewrite_id(&mut body, id, rerouted);
-                let wire = frame_bytes(&body);
                 self.stats.responses.fetch_add(1, Ordering::Relaxed);
                 self.metrics.responses.add(1);
-                self.send_to_client(token, &wire);
+                self.reactor.send(token, &frame_bytes(&body));
             }
         }
     }
@@ -867,33 +672,20 @@ impl RouterLoop {
     /// alive shard in their preference order (marked rerouted), health
     /// legs resolve their fan-outs, hellos evaporate.
     fn fail_shard(&mut self, idx: usize) {
-        let state = std::mem::replace(&mut self.shards[idx].state, LinkState::Down);
-        let (conn, token, pending) = match state {
-            LinkState::Up {
-                conn,
-                token,
-                pending,
-                ..
-            } => (conn, token, pending),
-            LinkState::Down => return,
+        let Some(link) = self.shards[idx].link.take() else {
+            return;
         };
-        let _ = self.poller.deregister(conn.fd());
-        self.shard_tokens.remove(&token);
+        self.reactor.close(link.token);
+        self.shard_tokens.remove(&link.token);
         self.shards[idx].last_attempt = Some(Instant::now());
         self.stats.failovers.fetch_add(1, Ordering::Relaxed);
         self.metrics.failovers.add(1);
-        let mut finished_fanouts = Vec::new();
-        for (_, entry) in pending {
+        for (_, entry) in link.pending {
             match entry {
                 Pending::Hello => {}
-                Pending::HealthFan { fanout } => {
-                    if let Some(f) = self.fanouts.get_mut(&fanout) {
-                        f.remaining -= 1;
-                        if f.remaining == 0 {
-                            finished_fanouts.push(fanout);
-                        }
-                    }
-                }
+                Pending::HealthFan { fanout } => self.settle_leg(fanout),
+                // Failover re-dispatch is always a reroute: the owner
+                // (or previous fallback) just died mid-flight.
                 Pending::Client {
                     token,
                     id,
@@ -901,106 +693,21 @@ impl RouterLoop {
                     body,
                     attempts,
                     ..
-                } => {
-                    // Failover re-dispatch is always a reroute: the
-                    // owner (or previous fallback) just died mid-flight.
-                    self.dispatch(Pending::Client {
-                        token,
-                        id,
-                        robot,
-                        body,
-                        rerouted: true,
-                        attempts,
-                    });
-                }
+                } => self.dispatch(Pending::Client {
+                    token,
+                    id,
+                    robot,
+                    body,
+                    rerouted: true,
+                    attempts,
+                }),
             }
-        }
-        for fanout in finished_fanouts {
-            self.finish_fanout(fanout);
         }
     }
 
-    fn send_to_client(&mut self, token: u64, wire: &[u8]) {
-        if let Some(client) = self.clients.get_mut(&token) {
-            client.conn.queue_wire(wire);
-        }
-        self.reconcile_client(token);
-    }
-
-    fn reconcile_client(&mut self, token: u64) {
-        let mut drop_after = false;
-        {
-            let client = match self.clients.get_mut(&token) {
-                Some(c) => c,
-                None => return,
-            };
-            match client.conn.flush() {
-                FlushOutcome::Closed => drop_after = true,
-                FlushOutcome::Drained | FlushOutcome::Blocked => {}
-            }
-            if !drop_after && client.closing && !client.conn.wants_write() {
-                drop_after = true;
-            }
-            if !drop_after {
-                let want = Interest {
-                    readable: !client.closing,
-                    writable: client.conn.wants_write(),
-                };
-                if want != client.interest {
-                    if self.poller.modify(client.conn.fd(), token, want).is_err() {
-                        drop_after = true;
-                    } else {
-                        client.interest = want;
-                    }
-                }
-            }
-        }
-        if drop_after {
-            self.drop_client(token);
-        }
-    }
-
-    fn flush_shard(&mut self, idx: usize) {
-        let mut failed = false;
-        {
-            let link = &mut self.shards[idx];
-            if let LinkState::Up {
-                conn,
-                token,
-                interest,
-                ..
-            } = &mut link.state
-            {
-                match conn.flush() {
-                    FlushOutcome::Closed => failed = true,
-                    FlushOutcome::Drained | FlushOutcome::Blocked => {}
-                }
-                if !failed {
-                    let want = Interest {
-                        readable: true,
-                        writable: conn.wants_write(),
-                    };
-                    if want != *interest {
-                        if self.poller.modify(conn.fd(), *token, want).is_err() {
-                            failed = true;
-                        } else {
-                            *interest = want;
-                        }
-                    }
-                }
-            }
-        }
-        if failed {
-            self.fail_shard(idx);
-        }
-    }
-
-    fn drop_client(&mut self, token: u64) {
-        if let Some(client) = self.clients.remove(&token) {
-            let _ = self.poller.deregister(client.conn.fd());
-        }
-        // Pending upstream entries for this client stay in flight; their
-        // responses are dropped on arrival (the token lookup misses).
-        self.fanouts.retain(|_, f| f.token != token);
+    fn send_result(&mut self, token: u64, id: u64, result: ServeResult) {
+        // A client that has gone simply misses.
+        let wire = frame_bytes(&encode_response(&ResponseFrame::direct(id, result)));
+        self.reactor.send(token, &wire);
     }
 }

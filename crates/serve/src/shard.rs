@@ -2,7 +2,7 @@
 //! robots on.
 //!
 //! A *shard* is an ordinary [`Server`] — its own warmed engine, worker
-//! pools, and event loops — plus an operator-assigned name announced in
+//! pools, and event loop — plus an operator-assigned name announced in
 //! hello (handshake) frames. The ring maps each robot name to its
 //! owning shard with classic consistent hashing: every shard projects
 //! [`VNODES_PER_SHARD`] virtual points onto a `u64` circle and a robot
@@ -16,7 +16,7 @@
 //! tries them in order until it finds one alive.
 
 use crate::engine::Engine;
-use crate::server::{Server, ServerOptions};
+use crate::server::Server;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 
@@ -144,14 +144,7 @@ impl Shard {
         addr: impl ToSocketAddrs,
     ) -> io::Result<Shard> {
         let name = name.into();
-        let server = Server::start_with(
-            engine,
-            addr,
-            ServerOptions {
-                shard_name: name.clone(),
-                loops: 1,
-            },
-        )?;
+        let server = Server::named(engine, addr, name.clone())?;
         Ok(Shard { name, server })
     }
 

@@ -9,11 +9,12 @@ use roboshape_serve::proto::{
     decode_response, encode_request, frame_bytes, read_frame, RequestFrame,
 };
 use roboshape_serve::{
-    Client, Engine, EngineConfig, ServeError, ServePayload, ServeRequest, Server,
+    Client, Engine, EngineConfig, Router, RouterConfig, ServeError, ServePayload, ServeRequest,
+    Server, Shard, ShardSpec,
 };
 use roboshape_sim::{try_simulate, try_simulate_kinematics};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 fn serve_zoo(cfg: EngineConfig) -> Server {
@@ -264,41 +265,63 @@ fn shutdown_drains_in_flight_requests() {
     assert!(matches!(err, ServeError::Rejected { .. }));
 }
 
+/// Runs `check` against each front-end's address: a lone [`Server`],
+/// then a [`Router`] fronting one [`Shard`]. Both answer framing
+/// violations from the same event-loop core.
+fn against_each_front_end(check: impl Fn(SocketAddr)) {
+    let server = serve_zoo(EngineConfig::default());
+    check(server.addr());
+    server.shutdown();
+
+    let engine = Engine::new(EngineConfig::default());
+    engine.register("iiwa", zoo(Zoo::Iiwa));
+    let shard = Shard::start("only", engine, "127.0.0.1:0").expect("bind shard");
+    let spec = ShardSpec {
+        name: "only".to_string(),
+        addr: shard.addr(),
+    };
+    let router = Router::start(RouterConfig::new(vec![spec]), "127.0.0.1:0").expect("bind router");
+    check(router.addr());
+    router.shutdown();
+    shard.shutdown();
+}
+
 /// A frame whose header declares a body longer than the protocol cap is
 /// rejected with a *typed* error the client can observe — never a
-/// silent connection drop. The server answers on correlation id 0
+/// silent connection drop. The front-end answers on correlation id 0
 /// (it cannot trust anything past the bogus header) and then closes.
 #[test]
 fn oversized_declared_frame_gets_a_typed_rejection() {
     use roboshape_serve::proto;
-    use std::io::Write;
 
-    let server = serve_zoo(EngineConfig::default());
-    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    against_each_front_end(|addr| {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
 
-    // Hand-rolled malicious header: len = u32::MAX, any checksum.
-    let mut header = Vec::new();
-    header.extend_from_slice(&u32::MAX.to_le_bytes());
-    header.extend_from_slice(&0u32.to_le_bytes());
-    raw.write_all(&header).expect("write bogus header");
+        // Hand-rolled malicious header: len = u32::MAX, any checksum.
+        let mut header = Vec::new();
+        header.extend_from_slice(&u32::MAX.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        raw.write_all(&header).expect("write bogus header");
 
-    let body = proto::read_frame(&mut raw)
-        .expect("typed response before close")
-        .expect("a frame, not EOF");
-    let frame = proto::decode_response(&body).expect("decodable response");
-    assert_eq!(frame.id, 0, "framing violations answer on id 0");
-    match frame.result {
-        Err(ServeError::BadRequest(msg)) => {
-            assert!(msg.contains("exceeds"), "typed oversize error: {msg}");
+        let body = proto::read_frame(&mut raw)
+            .expect("typed response before close")
+            .expect("a frame, not EOF");
+        let frame = proto::decode_response(&body).expect("decodable response");
+        assert_eq!(frame.id, 0, "framing violations answer on id 0");
+        match frame.result {
+            Err(ServeError::BadRequest(msg)) => {
+                assert!(msg.contains("exceeds"), "typed oversize error: {msg}");
+            }
+            other => panic!("expected BadRequest, got {other:?}"),
         }
-        other => panic!("expected BadRequest, got {other:?}"),
-    }
-    // After the violation the server closes the stream.
-    assert!(
-        proto::read_frame(&mut raw).expect("clean EOF").is_none(),
-        "connection closed after framing violation"
-    );
-    server.shutdown();
+        // After the violation the front-end closes the stream.
+        assert!(
+            proto::read_frame(&mut raw).expect("clean EOF").is_none(),
+            "connection closed after framing violation"
+        );
+    });
 }
 
 /// A frame whose body fails its checksum is likewise answered with a
@@ -306,33 +329,38 @@ fn oversized_declared_frame_gets_a_typed_rejection() {
 #[test]
 fn corrupted_request_frame_gets_a_typed_rejection() {
     use roboshape_serve::proto;
-    use std::io::Write;
 
-    let server = serve_zoo(EngineConfig::default());
-    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    against_each_front_end(|addr| {
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
 
-    let n = zoo(Zoo::Iiwa).num_links();
-    let body = proto::encode_request(&proto::RequestFrame {
-        id: 3,
-        req: ServeRequest::kinematics("iiwa", vec![0.1; n]),
-    });
-    let mut wire = proto::frame_bytes(&body);
-    let idx = proto::HEADER_LEN + 2;
-    wire[idx] ^= 0x40; // flip one body bit after the checksum was computed
-    raw.write_all(&wire).expect("write corrupted frame");
+        let n = zoo(Zoo::Iiwa).num_links();
+        let body = proto::encode_request(&proto::RequestFrame {
+            id: 3,
+            req: ServeRequest::kinematics("iiwa", vec![0.1; n]),
+        });
+        let mut wire = proto::frame_bytes(&body);
+        let idx = proto::HEADER_LEN + 2;
+        wire[idx] ^= 0x40; // flip one body bit after the checksum was computed
+        raw.write_all(&wire).expect("write corrupted frame");
 
-    let body = proto::read_frame(&mut raw)
-        .expect("typed response before close")
-        .expect("a frame, not EOF");
-    let frame = proto::decode_response(&body).expect("decodable response");
-    assert_eq!(frame.id, 0);
-    match frame.result {
-        Err(ServeError::BadRequest(msg)) => {
-            assert!(msg.contains("checksum"), "typed corruption error: {msg}");
+        let body = proto::read_frame(&mut raw)
+            .expect("typed response before close")
+            .expect("a frame, not EOF");
+        let frame = proto::decode_response(&body).expect("decodable response");
+        assert_eq!(frame.id, 0);
+        match frame.result {
+            Err(ServeError::BadRequest(msg)) => {
+                assert!(msg.contains("checksum"), "typed corruption error: {msg}");
+            }
+            other => panic!("expected BadRequest, got {other:?}"),
         }
-        other => panic!("expected BadRequest, got {other:?}"),
-    }
-    server.shutdown();
+        assert!(
+            proto::read_frame(&mut raw).expect("clean EOF").is_none(),
+            "connection closed after framing violation"
+        );
+    });
 }
 
 /// A deadline shorter than the queueing delay comes back as the typed
