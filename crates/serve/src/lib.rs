@@ -23,8 +23,8 @@
 //!   points.
 //! * A **TCP front-end** ([`Server`]) speaking length-prefixed binary
 //!   frames (see [`proto`]), with a matching blocking [`Client`]. The
-//!   server is event-driven: one readiness loop on a [`net::Reactor`]
-//!   (epoll on Linux, `poll(2)` elsewhere) services every connection
+//!   server is event-driven: one readiness loop on the [`net`] reactor
+//!   core (epoll on Linux, `poll(2)` elsewhere) services every connection
 //!   without a thread per socket. A request that is the only
 //!   frame a loop wake read goes through [`Engine::submit_or_run`],
 //!   which runs it on the loop thread when the engine is idle (nothing
@@ -35,7 +35,7 @@
 //!   shards with per-shard admission control and shard-level failover
 //!   (crashed shard → pending requests re-dispatched to the next ring
 //!   preference, answers tagged `Rerouted`). The router runs on the
-//!   same [`net::Reactor`] core as the server.
+//!   same [`net`] reactor core as the server.
 //! * A **load generator** ([`loadgen`]) driving a server open- or
 //!   closed-loop and reporting a latency/throughput summary.
 //!

@@ -10,19 +10,20 @@
 //!   byte queue on the write side: readable events feed
 //!   [`FrameConn::read_frames`], writable events drain
 //!   [`FrameConn::flush`], and neither ever blocks.
-//! * [`Reactor`] — the one event-loop core: poller, waker, listener and
-//!   a token table of [`FrameConn`]s, with accept, the read pass, typed
-//!   framing-violation goodbyes, per-wake flushing and interest
-//!   bookkeeping. One thread services thousands of connections with it.
+//! * The reactor (crate-private) — the one event-loop core: poller,
+//!   waker, listener and a token table of [`FrameConn`]s, with accept,
+//!   the read pass, typed framing-violation goodbyes, per-wake flushing
+//!   and interest bookkeeping. One thread services thousands of
+//!   connections with it.
 //!
 //! The single-engine [`crate::Server`] and the cluster
-//! [`crate::Router`] each run one [`Reactor`] and keep only their
-//! protocol state (ordered replies, pending-request maps, failover).
+//! [`crate::Router`] each run one reactor and keep only their protocol
+//! state (ordered replies, pending-request maps, failover).
 
 pub mod poll;
 mod reactor;
 
-pub use reactor::{Burst, Reactor};
+pub(crate) use reactor::{Burst, Reactor};
 
 use crate::proto::{checksum, ProtoError, HEADER_LEN, MAX_FRAME};
 use std::collections::VecDeque;

@@ -34,7 +34,7 @@ use std::time::Duration;
 /// What readiness a registration cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
-    /// Wake when the fd is readable (or the peer hung up).
+    /// Wake when the fd is readable (or the peer shut its write side).
     pub readable: bool,
     /// Wake when the fd is writable.
     pub writable: bool,
@@ -56,7 +56,8 @@ impl Interest {
         readable: true,
         writable: true,
     };
-    /// Neither direction (parked registration; hangup still reported).
+    /// Neither direction (parked registration; a full hangup or an
+    /// error is still reported).
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,
@@ -130,10 +131,14 @@ mod sys {
             })
         }
 
+        /// `EPOLLRDHUP` rides with read interest only: level-triggered,
+        /// a half-closed peer would otherwise wake every wait while the
+        /// owner drains output it no longer reads for. `EPOLLHUP` and
+        /// `EPOLLERR` are always reported.
         fn mask(interest: Interest) -> u32 {
-            let mut events = EPOLLRDHUP;
+            let mut events = 0;
             if interest.readable {
-                events |= EPOLLIN;
+                events |= EPOLLIN | EPOLLRDHUP;
             }
             if interest.writable {
                 events |= EPOLLOUT;

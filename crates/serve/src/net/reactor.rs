@@ -271,11 +271,6 @@ impl Reactor {
     pub fn len(&self) -> usize {
         self.conns.len()
     }
-
-    /// `true` with no connection open.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
-    }
 }
 
 impl Conn {
@@ -301,10 +296,12 @@ mod tests {
     use std::io::{Read, Write};
     use std::time::Instant;
 
-    fn reactor_with_listener() -> (Reactor, TcpListener) {
+    /// A reactor, its waker (kept alive: a dropped waker reads as a
+    /// wake on every wait) and a listener to connect clients through.
+    fn reactor_with_listener() -> (Reactor, Waker, TcpListener) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let (reactor, _waker) = Reactor::new(None).expect("reactor");
-        (reactor, listener)
+        let (reactor, waker) = Reactor::new(None).expect("reactor");
+        (reactor, waker, listener)
     }
 
     /// A client connected to `reactor`, with its token.
@@ -336,7 +333,7 @@ mod tests {
 
     #[test]
     fn one_wake_returns_every_ready_connection_before_any_is_handled() {
-        let (mut reactor, listener) = reactor_with_listener();
+        let (mut reactor, _waker, listener) = reactor_with_listener();
         let (mut a, token_a) = connect(&mut reactor, &listener);
         let (mut b, token_b) = connect(&mut reactor, &listener);
         a.write_all(&frame_bytes(b"from a")).expect("send");
@@ -360,7 +357,7 @@ mod tests {
 
     #[test]
     fn a_peer_hang_up_flushes_queued_output_then_drops() {
-        let (mut reactor, listener) = reactor_with_listener();
+        let (mut reactor, _waker, listener) = reactor_with_listener();
         let (mut client, token) = connect(&mut reactor, &listener);
         // More than the socket buffers hold: output is still queued when
         // the hang-up is read.
@@ -378,13 +375,25 @@ mod tests {
             .expect("wait");
         assert!(reactor.flush().is_empty());
         assert!(reactor.has_output());
+        // Nor does the half-closed read side wake the loop again: the
+        // next wait sleeps out its timeout instead of spinning.
+        let idle = Instant::now();
+        reactor
+            .wait(Duration::from_millis(100), &mut bursts)
+            .expect("wait");
+        assert!(
+            reactor.events.iter().all(|e| e.token != token),
+            "{:?}",
+            reactor.events
+        );
+        assert!(idle.elapsed() >= Duration::from_millis(80));
         let reader = std::thread::spawn(move || {
             let mut got = Vec::new();
             client.read_to_end(&mut got).map(|_| got)
         });
         let (_, dead) = turn_until(&mut reactor, |_, dead| !dead.is_empty());
         assert_eq!(dead, vec![token]);
-        assert!(reactor.is_empty());
+        assert_eq!(reactor.len(), 0);
         let got = reader.join().expect("reader").expect("a clean EOF");
         assert!(
             got == reply,
@@ -396,7 +405,7 @@ mod tests {
 
     #[test]
     fn a_closing_connection_stops_reading_and_drops_once_drained() {
-        let (mut reactor, listener) = reactor_with_listener();
+        let (mut reactor, _waker, listener) = reactor_with_listener();
         let (mut client, token) = connect(&mut reactor, &listener);
         let mut wire = frame_bytes(b"damaged");
         let last = wire.len() - 1;
@@ -426,7 +435,7 @@ mod tests {
 
     #[test]
     fn a_dropped_token_is_never_handed_out_again() {
-        let (mut reactor, listener) = reactor_with_listener();
+        let (mut reactor, _waker, listener) = reactor_with_listener();
         let (client, first) = connect(&mut reactor, &listener);
         drop(client);
         let (_, dead) = turn_until(&mut reactor, |_, dead| !dead.is_empty());

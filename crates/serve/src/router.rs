@@ -28,7 +28,7 @@
 //!    with a typed `Rejected` and health probes report `ready=false`.
 //!
 //! Everything runs on one event-loop thread over the same
-//! [`crate::net::Reactor`] as the shard server: client sockets and
+//! [`crate::net`] reactor core as the shard server: client sockets and
 //! upstream shard sockets sit in one connection table, so a response's
 //! path through the router is wake → patch id → queue → one flush per
 //! wake, with no cross-thread handoff, and framing violations from

@@ -1,8 +1,8 @@
 //! Event-driven TCP front-end over [`crate::Engine`], plus a blocking
 //! [`Client`].
 //!
-//! One event-loop thread services every connection on a
-//! [`crate::net::Reactor`] (epoll on Linux), so thousands of concurrent
+//! One event-loop thread services every connection on the
+//! [`crate::net`] reactor core (epoll on Linux), so thousands of concurrent
 //! clients cost file descriptors, not stacks. The reactor owns the
 //! sockets; the loop here keeps only the protocol state: a reply FIFO
 //! per connection and the shutdown phases. Scale-out is the shard
