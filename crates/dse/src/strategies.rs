@@ -4,7 +4,7 @@ use roboshape_arch::{AcceleratorKnobs, DseModel, Resources};
 use roboshape_pipeline::Pipeline;
 use roboshape_topology::Topology;
 
-use crate::sweep::traversal_makespan;
+use crate::sweep::{traversal_makespan, FragCounters};
 
 /// The PE-allocation strategies the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,8 +86,9 @@ pub fn evaluate_strategies(topo: &Topology) -> Vec<StrategyOutcome> {
 pub fn evaluate_strategies_with(pipeline: &Pipeline, topo: &Topology) -> Vec<StrategyOutcome> {
     let n = topo.len();
     let metrics = topo.metrics();
+    let frags = FragCounters::resolve();
     let latency = |pe_fwd: usize, pe_bwd: usize| -> u64 {
-        traversal_makespan(pipeline, topo, pe_fwd, pe_bwd)
+        traversal_makespan(pipeline, &frags, topo, pe_fwd, pe_bwd)
     };
 
     // Exhaustive reference: minimum latency, then fewest resources.

@@ -15,21 +15,26 @@
 //!   the delta — the `dse.frag.{hits,misses}` counters prove it;
 //! * the pruned sweep ([`sweep_design_space_pruned`]) skips provably
 //!   dominated grid rows *before* scheduling them, using the makespan's
-//!   monotonicity in each PE count plus a streaming Pareto skyline.
+//!   monotonicity in each PE count plus a streaming Pareto skyline. Its
+//!   cold rows all run on one [`SchedulePrep`] of the robot's task graph,
+//!   built once per sweep, so each row costs only a placement scan.
 //!
 //! Sweeps are instrumented through [`roboshape_obs`]: each sweep opens a
-//! `cat = "dse"` tracing span and publishes the `dse.points` counter plus
+//! `cat = "dse"` tracing span, resolves the `dse.frag.{hits,misses}`
+//! counter handles once, and publishes the `dse.points` counter plus
 //! `dse.designs_per_sec` and `dse.worker_utilization_pct` gauges (how
-//! evenly the schedule work spread over the worker pool).
+//! much of the sweep's wall time its workers spent computing rows: the
+//! pruned sweep counts its parallel edge rows and its serial interior).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use roboshape_arch::{AcceleratorKnobs, DseModel, KernelKind, MatmulUnits, Resources};
 use roboshape_blocksparse::{block_matmul_latency, MatmulLatencyModel};
-use roboshape_obs as obs;
+use roboshape_obs::{self as obs, Counter};
 use roboshape_pipeline::{FragmentHasher, FragmentId, PatternKind, Pipeline, PipelineStage};
-use roboshape_taskgraph::{schedule_makespan, SchedulerConfig, TaskGraph};
+use roboshape_taskgraph::{SchedulePrep, SchedulerConfig, TaskCosts};
 use roboshape_topology::Topology;
 
 const KERNEL: KernelKind = KernelKind::DynamicsGradient;
@@ -57,7 +62,7 @@ pub const PRUNED_ROWS_METRIC: &str = "dse.pruned.rows";
 /// time than `workers × wall` capacity, i.e. the scope ran more threads
 /// than it should); such sightings additionally bump the
 /// `dse.worker_oversubscribed` counter instead of being clamped away.
-fn record_sweep_metrics(points: u64, wall: std::time::Duration, busy_ns: u64, workers: usize) {
+fn record_sweep_metrics(points: u64, wall: Duration, busy_ns: u64, workers: usize) {
     let m = obs::metrics();
     m.counter("dse.points").add(points);
     let secs = wall.as_secs_f64();
@@ -155,15 +160,32 @@ fn mm_latency_fragment_id(
         .finish()
 }
 
-fn note_fragment(pipeline: &Pipeline, stage: PipelineStage, hit: bool) {
-    let m = obs::metrics();
-    if hit {
-        m.counter(FRAG_HITS_METRIC).add(1);
-        // A fragment hit stands in for the stage computation it avoided,
-        // so warm sweeps keep reading as store hits in `--timings`.
-        pipeline.observer().hit(stage);
-    } else {
-        m.counter(FRAG_MISSES_METRIC).add(1);
+/// The global fragment hit/miss counters, resolved once per sweep so
+/// the per-fragment path takes no registry lock.
+pub(crate) struct FragCounters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
+
+impl FragCounters {
+    pub(crate) fn resolve() -> FragCounters {
+        let m = obs::metrics();
+        FragCounters {
+            hits: m.counter(FRAG_HITS_METRIC),
+            misses: m.counter(FRAG_MISSES_METRIC),
+        }
+    }
+
+    fn note(&self, pipeline: &Pipeline, stage: PipelineStage, hit: bool) {
+        if hit {
+            self.hits.add(1);
+            // A fragment hit stands in for the stage computation it
+            // avoided, so warm sweeps keep reading as store hits in
+            // `--timings`.
+            pipeline.observer().hit(stage);
+        } else {
+            self.misses.add(1);
+        }
     }
 }
 
@@ -173,6 +195,7 @@ fn note_fragment(pipeline: &Pipeline, stage: PipelineStage, hit: bool) {
 /// artifact as before) and memoizes the scalar.
 pub(crate) fn traversal_makespan(
     pipeline: &Pipeline,
+    frags: &FragCounters,
     topo: &Topology,
     pe_fwd: usize,
     pe_bwd: usize,
@@ -181,18 +204,21 @@ pub(crate) fn traversal_makespan(
     let id = makespan_fragment_id(topo, &cfg);
     let (v, hit) =
         pipeline.fragment_u64(id, || pipeline.schedule_for(topo, KERNEL, &cfg).makespan());
-    note_fragment(pipeline, PipelineStage::Schedules, hit);
+    frags.note(pipeline, PipelineStage::Schedules, hit);
     v
 }
 
-/// [`traversal_makespan`] through the makespan-only scheduler entry
-/// point: a miss runs [`roboshape_taskgraph::schedule_makespan`] — no
-/// entry list, no full [`Schedule`](roboshape_taskgraph::Schedule)
-/// artifact — and memoizes the scalar under the *same* fragment id, so
-/// pruned and exhaustive sweeps share warmth in both directions.
+/// [`traversal_makespan`] through a sweep-wide [`SchedulePrep`] of the
+/// kernel's task graph: a miss runs [`SchedulePrep::makespan`], which
+/// reuses the graph's successor lists, priorities and limb counts built
+/// once for the whole sweep and materializes no entry list and no full
+/// [`Schedule`](roboshape_taskgraph::Schedule) artifact. The scalar is
+/// memoized under the *same* fragment id, so pruned and exhaustive
+/// sweeps share warmth in both directions.
 fn traversal_makespan_fast(
     pipeline: &Pipeline,
-    graph: &TaskGraph,
+    frags: &FragCounters,
+    prep: &SchedulePrep,
     topo: &Topology,
     pe_fwd: usize,
     pe_bwd: usize,
@@ -202,19 +228,19 @@ fn traversal_makespan_fast(
     let (v, hit) = pipeline.fragment_u64(id, || {
         pipeline
             .observer()
-            .time(PipelineStage::Schedules, || schedule_makespan(graph, &cfg))
+            .time(PipelineStage::Schedules, || prep.makespan(&cfg))
     });
     if !hit {
         pipeline.observer().miss(PipelineStage::Schedules);
     }
-    note_fragment(pipeline, PipelineStage::Schedules, hit);
+    frags.note(pipeline, PipelineStage::Schedules, hit);
     v
 }
 
 /// The block-size-`b` latency of the blocked `M⁻¹` multiply through the
 /// fragment store. A miss builds the full plan through the BlockPlans
 /// stage (keeping the coarse store warm for design assembly).
-fn mm_latency(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
+fn mm_latency(pipeline: &Pipeline, frags: &FragCounters, topo: &Topology, block: usize) -> u64 {
     let n = topo.len();
     let model = MatmulLatencyModel::default();
     let units = MatmulUnits::PerLink.resolve(n);
@@ -224,7 +250,7 @@ fn mm_latency(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
             .block_plan(topo, PatternKind::InverseMass, 2 * n, block, units)
             .latency(&model)
     });
-    note_fragment(pipeline, PipelineStage::BlockPlans, hit);
+    frags.note(pipeline, PipelineStage::BlockPlans, hit);
     v
 }
 
@@ -232,7 +258,12 @@ fn mm_latency(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
 /// runs [`roboshape_blocksparse::block_matmul_latency`] over the cached
 /// sparsity pattern — no op list is materialized — and memoizes under
 /// the same fragment id as the plan-backed path.
-fn mm_latency_fast(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
+fn mm_latency_fast(
+    pipeline: &Pipeline,
+    frags: &FragCounters,
+    topo: &Topology,
+    block: usize,
+) -> u64 {
     let n = topo.len();
     let model = MatmulLatencyModel::default();
     let units = MatmulUnits::PerLink.resolve(n);
@@ -246,7 +277,7 @@ fn mm_latency_fast(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
     if !hit {
         pipeline.observer().miss(PipelineStage::BlockPlans);
     }
-    note_fragment(pipeline, PipelineStage::BlockPlans, hit);
+    frags.note(pipeline, PipelineStage::BlockPlans, hit);
     v
 }
 
@@ -340,10 +371,11 @@ pub fn sweep_design_space_grid_with(
 ) -> Vec<DesignPoint> {
     let _span = obs::span(OBS_CATEGORY, "sweep");
     let n = topo.len();
+    let frags = FragCounters::resolve();
     let mm_latency: Vec<u64> = grid
         .block
         .iter()
-        .map(|&b| self::mm_latency(pipeline, topo, b))
+        .map(|&b| self::mm_latency(pipeline, &frags, topo, b))
         .collect();
 
     let rows_total = grid.pe_fwd.len();
@@ -360,7 +392,7 @@ pub fn sweep_design_space_grid_with(
     let mut rows: Vec<(usize, Vec<DesignPoint>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (next, mm_latency, busy_ns) = (&next, &mm_latency, &busy_ns);
+                let (next, mm_latency, busy_ns, frags) = (&next, &mm_latency, &busy_ns, &frags);
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     loop {
@@ -372,15 +404,13 @@ pub fn sweep_design_space_grid_with(
                         let pe_fwd = grid.pe_fwd[idx];
                         let mut row = Vec::with_capacity(grid.pe_bwd.len() * grid.block.len());
                         for &pe_bwd in &grid.pe_bwd {
-                            let makespan = traversal_makespan(pipeline, topo, pe_fwd, pe_bwd);
+                            let makespan =
+                                traversal_makespan(pipeline, frags, topo, pe_fwd, pe_bwd);
                             for (bi, &block) in grid.block.iter().enumerate() {
                                 row.push(point(n, pe_fwd, pe_bwd, block, makespan, mm_latency[bi]));
                             }
                         }
-                        busy_ns.fetch_add(
-                            u64::try_from(row_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            Ordering::Relaxed,
-                        );
+                        busy_ns.fetch_add(nanos(row_start.elapsed()), Ordering::Relaxed);
                         out.push((idx, row));
                     }
                     out
@@ -566,11 +596,42 @@ pub fn sweep_design_space_pruned(topo: &Topology) -> PrunedSweep {
 /// robots.
 pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> PrunedSweep {
     let _span = obs::span(OBS_CATEGORY, "sweep-pruned");
+    let (sweep, load) = pruned_sweep(pipeline, topo);
+    record_sweep_metrics(
+        sweep.evaluated_points as u64,
+        load.wall,
+        load.busy_ns,
+        load.workers,
+    );
+    sweep
+}
+
+/// One sweep's worker-pool accounting: the inputs of the
+/// `dse.worker_utilization_pct` gauge.
+#[derive(Debug, Clone, Copy)]
+struct PoolLoad {
+    /// Sweep wall time, up to the frontier extraction.
+    wall: Duration,
+    /// Time spent computing rows, summed across workers.
+    busy_ns: u64,
+    /// Workers the sweep's pool ran.
+    workers: usize,
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// [`sweep_design_space_pruned_with`] without publishing the pool gauges,
+/// which it returns instead.
+fn pruned_sweep(pipeline: &Pipeline, topo: &Topology) -> (PrunedSweep, PoolLoad) {
     let sweep_start = Instant::now();
     let n = topo.len();
-    let graph = pipeline.task_graph(topo, KERNEL);
+    let frags = FragCounters::resolve();
+    // One scheduling index for every row the sweep computes.
+    let prep = SchedulePrep::new(&pipeline.task_graph(topo, KERNEL), TaskCosts::default());
     let mm: Vec<u64> = (1..=n)
-        .map(|b| mm_latency_fast(pipeline, topo, b))
+        .map(|b| mm_latency_fast(pipeline, &frags, topo, b))
         .collect();
 
     // Far-edge rows, scheduled upfront (in parallel) to certify lower
@@ -590,7 +651,7 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
     let mut edge_t: Vec<(usize, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (next, edges, busy_ns, graph) = (&next, &edges, &busy_ns, &graph);
+                let (next, edges, busy_ns, frags, prep) = (&next, &edges, &busy_ns, &frags, &prep);
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     loop {
@@ -600,11 +661,9 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
                         }
                         let start = Instant::now();
                         let (pf, pb) = edges[idx];
-                        out.push((idx, traversal_makespan_fast(pipeline, graph, topo, pf, pb)));
-                        busy_ns.fetch_add(
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            Ordering::Relaxed,
-                        );
+                        let t = traversal_makespan_fast(pipeline, frags, prep, topo, pf, pb);
+                        out.push((idx, t));
+                        busy_ns.fetch_add(nanos(start.elapsed()), Ordering::Relaxed);
                     }
                     out
                 })
@@ -640,6 +699,9 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
         push_row(&mut points, &mut skyline, n, pb, t_b[pb - 1]);
     }
 
+    // The interior runs serially on this thread, which counts as one
+    // busy worker for its whole duration.
+    let interior_start = Instant::now();
     let mut scheduled_rows = edges.len();
     let mut skipped_rows = 0usize;
     for pf in 1..n {
@@ -653,11 +715,12 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
                 skipped_rows += 1;
                 continue;
             }
-            let t = traversal_makespan_fast(pipeline, &graph, topo, pf, pb);
+            let t = traversal_makespan_fast(pipeline, &frags, &prep, topo, pf, pb);
             push_row(&mut points, &mut skyline, pf, pb, t);
             scheduled_rows += 1;
         }
     }
+    let busy_ns = busy_ns.into_inner() + nanos(interior_start.elapsed());
 
     let grid_points = n * n * n;
     let evaluated_points = points.len();
@@ -666,20 +729,20 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
     m.counter(PRUNED_POINTS_METRIC).add(pruned_points as u64);
     m.counter(PRUNED_ROWS_METRIC).add(skipped_rows as u64);
     pipeline.observer().add_points(evaluated_points as u64);
-    record_sweep_metrics(
-        evaluated_points as u64,
-        sweep_start.elapsed(),
-        busy_ns.load(Ordering::Relaxed),
+    let load = PoolLoad {
+        wall: sweep_start.elapsed(),
+        busy_ns,
         workers,
-    );
-    PrunedSweep {
+    };
+    let sweep = PrunedSweep {
         frontier: pareto_frontier(&points),
         grid_points,
         evaluated_points,
         pruned_points,
         scheduled_rows,
         skipped_rows,
-    }
+    };
+    (sweep, load)
 }
 
 #[cfg(test)]
@@ -884,6 +947,38 @@ mod tests {
         record_sweep_metrics(10, std::time::Duration::from_millis(1), 1_000_000, 2);
         assert!((m.gauge("dse.worker_utilization_pct").get() - 50.0).abs() < 1e-6);
         assert_eq!(m.counter("dse.worker_oversubscribed").get(), before + 1);
+    }
+
+    #[test]
+    fn pruned_sweep_busy_time_covers_the_serial_interior() {
+        // Warm every edge row and block latency first, so the parallel
+        // edge phase is only fragment reads and nearly all of the sweep's
+        // scheduling happens in the serial interior loop. That loop keeps
+        // one worker busy, so busy time must cover most of the wall.
+        let topo = zoo(Zoo::Jaco2).topology().clone();
+        let n = topo.len();
+        let pipeline = Pipeline::new();
+        let all: Vec<usize> = (1..=n).collect();
+        for (pe_fwd, pe_bwd) in [(vec![n], all.clone()), (all.clone(), vec![n])] {
+            let grid = SweepGrid {
+                pe_fwd,
+                pe_bwd,
+                block: all.clone(),
+            };
+            sweep_design_space_grid_with(&pipeline, &topo, &grid);
+        }
+        let (sweep, load) = pruned_sweep(&pipeline, &topo);
+        assert!(
+            sweep.scheduled_rows > 2 * n - 1,
+            "no interior row scheduled"
+        );
+        let wall_ns = nanos(load.wall);
+        assert!(
+            2 * load.busy_ns >= wall_ns,
+            "busy {} ns over {wall_ns} ns of wall leaves out the interior",
+            load.busy_ns
+        );
+        assert!(load.busy_ns <= wall_ns * load.workers as u64);
     }
 
     #[test]

@@ -16,9 +16,20 @@
 //!    and the branch save/restore events that size the architecture's
 //!    checkpoint storage (Fig. 8e).
 //!
-//! Each [`schedule`] call opens a `cat = "taskgraph"` tracing span and
-//! bumps the global `taskgraph.schedules` counter and
-//! `taskgraph.makespan_cycles` histogram (see [`roboshape_obs`]).
+//! The scheduler splits its work in two. [`SchedulePrep`] indexes one
+//! `(graph, costs)` pair: CSR successor lists, critical-path priorities,
+//! each task's stage, limb position and kind, and the per-stage and
+//! per-`(stage, limb)` task counts — everything no PE count or mode flag
+//! changes. Each placement run then scans a flat ready list against
+//! per-stage gates computed once per step. [`schedule`] and
+//! [`schedule_makespan`] build the index per call; a design-space sweep
+//! builds it once and calls [`SchedulePrep::makespan`] for every grid
+//! point.
+//!
+//! Each placement run opens a `cat = "taskgraph"` tracing span and bumps
+//! the global `taskgraph.schedules` counter and
+//! `taskgraph.makespan_cycles` histogram (see [`roboshape_obs`]), whose
+//! handles are resolved once per process.
 //!
 //! # Examples
 //!
@@ -40,6 +51,6 @@ mod scheduler;
 
 pub use graph::{Stage, Task, TaskGraph, TaskId, TaskKind};
 pub use scheduler::{
-    schedule, schedule_makespan, PeClass, Schedule, ScheduleEntry, ScheduleError, SchedulerConfig,
-    TaskCosts,
+    schedule, schedule_makespan, PeClass, Schedule, ScheduleEntry, ScheduleError, SchedulePrep,
+    SchedulerConfig, TaskCosts,
 };

@@ -9,7 +9,8 @@
 
 use crate::graph::{Stage, TaskGraph, TaskId, TaskKind};
 use core::fmt;
-use std::collections::HashMap;
+use roboshape_obs::{Counter, Histogram};
+use std::sync::{Arc, OnceLock};
 
 /// Whether a PE belongs to the forward- or backward-traversal pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -399,283 +400,385 @@ fn is_chain_successor(prev: TaskKind, next: TaskKind) -> bool {
 
 /// Schedules `graph` onto the configured PEs (see module docs).
 ///
+/// Builds a [`SchedulePrep`] for this one call; callers that schedule
+/// the same graph at many PE counts should build it once instead.
+///
 /// # Panics
 ///
 /// Panics if either PE count in `config` is zero.
 pub fn schedule(graph: &TaskGraph, config: &SchedulerConfig) -> Schedule {
     let _span = roboshape_obs::span("taskgraph", "schedule");
-    let mut entries: Vec<ScheduleEntry> = Vec::with_capacity(graph.len());
-    let makespan = schedule_core(graph, config, |e| entries.push(e));
-    entries.sort_by_key(|e| (e.start, e.task.0));
-    Schedule {
-        entries,
-        pe_fwd: config.pe_fwd,
-        pe_bwd: config.pe_bwd,
-        makespan,
-    }
+    SchedulePrep::new(graph, config.costs).collect(config)
 }
 
 /// The makespan [`schedule`] would report, without materializing the
 /// entry list.
 ///
 /// This is the fragment-granular entry point for consumers that need
-/// only the scalar — a design-space sweep joins one makespan per
-/// `(PEs_fwd, PEs_bwd)` with per-block-size latencies, and pruned sweeps
-/// probe thousands of such points without ever reading an entry. The
-/// placement decisions are shared with [`schedule`] (one core, two
-/// sinks), so the value is identical by construction; the equality is
-/// additionally pinned in this module's tests.
+/// only the scalar. The placement decisions are shared with [`schedule`]
+/// (one core, two sinks), so the value is identical by construction; the
+/// equality is additionally pinned in this module's tests. A sweep over
+/// many `(PEs_fwd, PEs_bwd)` points of one graph should call
+/// [`SchedulePrep::makespan`] on one shared index instead.
 ///
 /// # Panics
 ///
 /// Panics if either PE count in `config` is zero.
 pub fn schedule_makespan(graph: &TaskGraph, config: &SchedulerConfig) -> u64 {
     let _span = roboshape_obs::span("taskgraph", "schedule-makespan");
-    schedule_core(graph, config, |_| {})
+    SchedulePrep::new(graph, config.costs).place(config, |_| {})
 }
 
-/// The list-scheduling core shared by [`schedule`] and
-/// [`schedule_makespan`]: places every task, streams each placement into
-/// `emit` and returns the makespan.
-fn schedule_core(
-    graph: &TaskGraph,
-    config: &SchedulerConfig,
-    mut emit: impl FnMut(ScheduleEntry),
-) -> u64 {
-    assert!(
-        config.pe_fwd > 0 && config.pe_bwd > 0,
-        "PE counts must be positive"
-    );
+/// The facts of one `(graph, costs)` pair that no PE count or mode flag
+/// changes, built once and shared by every placement run over the graph:
+/// a CSR successor list, the critical-path priorities, each task's stage,
+/// limb position and kind, and the per-stage and per-`(stage, limb)` task
+/// counts.
+///
+/// [`schedule`] and [`schedule_makespan`] build one per call; a
+/// design-space sweep builds one per sweep and reuses it for every grid
+/// point, which leaves only the placement scan per point. The index is
+/// immutable, so worker threads share it by reference.
+///
+/// # Examples
+///
+/// ```
+/// use roboshape_taskgraph::{schedule, SchedulePrep, SchedulerConfig, TaskCosts, TaskGraph};
+/// use roboshape_topology::Topology;
+///
+/// let graph = TaskGraph::dynamics_gradient(&Topology::chain(7));
+/// let prep = SchedulePrep::new(&graph, TaskCosts::default());
+/// for pe in 1..=7 {
+///     let cfg = SchedulerConfig::with_pes(pe, pe);
+///     assert_eq!(prep.makespan(&cfg), schedule(&graph, &cfg).makespan());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct SchedulePrep {
+    costs: TaskCosts,
+    /// Per task: its kind (for the PE chain-affinity test).
+    kind: Vec<TaskKind>,
+    /// Per task: its stage's index in [`Stage::ALL`]. Even indices run on
+    /// the forward class, odd ones on the backward class.
+    stage: Vec<usize>,
+    /// Per task: its limb position in its class's walk (depth-first for
+    /// the forward class, reversed for the backward class).
+    pos: Vec<usize>,
+    /// Per task: the longest cost-weighted path from it to a sink.
+    priority: Vec<u64>,
+    /// Per task: its dependency count.
+    deps: Vec<usize>,
+    /// CSR successors: task `t`'s are `succ[succ_start[t]..succ_start[t + 1]]`.
+    succ_start: Vec<usize>,
+    succ: Vec<usize>,
+    /// Tasks with no dependencies, ready at cycle 0.
+    roots: Vec<usize>,
+    /// Tasks per stage.
+    stage_totals: [usize; 4],
+    /// Tasks per `(stage, limb position)`, at `stage * num_limbs + pos`.
+    limb_tasks: Vec<usize>,
+    num_limbs: usize,
+}
 
-    // Critical-path priority: longest cost-weighted path to a sink.
-    let n = graph.len();
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, t) in graph.tasks().iter().enumerate() {
-        for d in &t.deps {
-            successors[d.0].push(i);
-        }
-    }
-    let mut priority = vec![0u64; n];
-    for i in (0..n).rev() {
-        let own = config.costs.of(graph.task(TaskId(i)).kind);
-        let best_succ = successors[i]
+impl SchedulePrep {
+    /// Indexes `graph` for scheduling under `costs`.
+    pub fn new(graph: &TaskGraph, costs: TaskCosts) -> SchedulePrep {
+        let n = graph.len();
+        let num_limbs = graph.num_limbs();
+        let kind: Vec<TaskKind> = graph.tasks().iter().map(|t| t.kind).collect();
+        // `Stage` declares its variants in `Stage::ALL` order.
+        let stage: Vec<usize> = kind.iter().map(|k| k.stage() as usize).collect();
+        let pos: Vec<usize> = kind
             .iter()
-            .map(|&s| priority[s])
-            .max()
-            .unwrap_or(0);
-        priority[i] = own + best_succ;
-    }
-
-    // Stage barrier offsets (non-pipelined mode): a task may only start
-    // once every task of every earlier stage has finished. Implemented by
-    // tracking a per-stage release time updated as stages complete.
-    let stage_index = |k: TaskKind| Stage::ALL.iter().position(|&s| s == k.stage()).unwrap();
-
-    let mut unmet: Vec<usize> = graph.tasks().iter().map(|t| t.deps.len()).collect();
-    let mut ready_at: HashMap<usize, u64> = HashMap::new();
-    for (i, t) in graph.tasks().iter().enumerate() {
-        if t.deps.is_empty() {
-            ready_at.insert(i, 0);
-        }
-    }
-    let mut end_time = vec![0u64; n];
-    // Per-class PE state: (free_at, last task).
-    let mut pe_free: [Vec<u64>; 2] = [vec![0; config.pe_fwd], vec![0; config.pe_bwd]];
-    let mut pe_last: [Vec<Option<usize>>; 2] =
-        [vec![None; config.pe_fwd], vec![None; config.pe_bwd]];
-    let mut scheduled = 0usize;
-    let mut makespan = 0u64;
-    // Completion count per stage for barrier mode.
-    let stage_totals: Vec<usize> = Stage::ALL
-        .iter()
-        .map(|&s| graph.stage_tasks(s).len())
-        .collect();
-    let mut stage_done = [0usize; 4];
-    let mut stage_release = [0u64; 4];
-
-    // Limb-sequential mode: each PE class walks the limbs one at a time
-    // (depth-first for the forward class, reverse for the backward class),
-    // and in pipelined mode interleaves the class's two stages per limb
-    // (RNEA pass of a limb, then its ∇ pass, then the next limb); a
-    // position's tasks become eligible only once every task at earlier
-    // positions has *finished* (the PEs save/restore branch state between
-    // limbs). This bounds useful forward PEs by the max leaf depth and
-    // backward PEs by the max descendant count (paper Sec. 5.4,
-    // Insight #1). Tracked as one limb frontier per stage plus, in
-    // pipelined mode, lockstep constraints between the two stages of each
-    // class.
-    let num_limbs = graph.num_limbs();
-    let limb_pos = |kind: TaskKind| -> usize {
-        let m = graph.limb_of_link(kind.link());
-        if kind.stage().is_forward() {
-            m
-        } else {
-            num_limbs - 1 - m
-        }
-    };
-    let is_grad = |si: usize| si >= 2;
-    let partner = |si: usize| if is_grad(si) { si - 2 } else { si + 2 };
-    let mut remaining = vec![vec![0usize; num_limbs]; 4];
-    for t in graph.tasks() {
-        remaining[stage_index(t.kind)][limb_pos(t.kind)] += 1;
-    }
-    let mut pos_max_end = vec![vec![0u64; num_limbs]; 4];
-    // frontier[s]: lowest limb position of stage s with unscheduled tasks
-    // (= num_limbs when the stage is done); limb_release[s]: max end time
-    // over all positions the frontier has passed.
-    let mut frontier = [0usize; 4];
-    let mut limb_release = [0u64; 4];
-    for si in 0..4 {
-        while frontier[si] < num_limbs && remaining[si][frontier[si]] == 0 {
-            frontier[si] += 1;
-        }
-    }
-
-    while scheduled < n {
-        // Candidate: the ready task whose earliest feasible start is
-        // minimal; among those, the highest critical-path priority.
-        let mut best: Option<(u64, u64, usize)> = None; // (start, -priority sentinel via tuple ordering, task)
-        for (&task, &r_at) in &ready_at {
-            let kind = graph.task(TaskId(task)).kind;
-            let si = stage_index(kind);
-            let pos = limb_pos(kind);
-            if config.limb_sequential {
-                if pos > frontier[si] {
-                    continue;
+            .map(|&k| {
+                let m = graph.limb_of_link(k.link());
+                if k.stage().is_forward() {
+                    m
+                } else {
+                    num_limbs - 1 - m
                 }
-                // Pipelined lockstep between the class's two stages:
-                // the ∇ pass of limb p needs the RNEA pass of limbs ≤ p
-                // done; the RNEA pass of limb p needs the ∇ pass of limbs
-                // < p done.
-                if config.pipelined {
-                    let q = partner(si);
-                    let needed = if is_grad(si) { pos + 1 } else { pos };
-                    if frontier[q] < needed {
-                        continue;
+            })
+            .collect();
+        let deps: Vec<usize> = graph.tasks().iter().map(|t| t.deps.len()).collect();
+        let roots: Vec<usize> = (0..n).filter(|&i| deps[i] == 0).collect();
+
+        let mut succ_start = vec![0usize; n + 1];
+        for t in graph.tasks() {
+            for d in &t.deps {
+                succ_start[d.0 + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            succ_start[i + 1] += succ_start[i];
+        }
+        let mut fill = succ_start.clone();
+        let mut succ = vec![0usize; succ_start[n]];
+        for (i, t) in graph.tasks().iter().enumerate() {
+            for d in &t.deps {
+                succ[fill[d.0]] = i;
+                fill[d.0] += 1;
+            }
+        }
+
+        // Tasks are topologically ordered, so a reverse scan sees every
+        // successor's priority before its predecessors'.
+        let mut priority = vec![0u64; n];
+        for i in (0..n).rev() {
+            let best_succ = succ[succ_start[i]..succ_start[i + 1]]
+                .iter()
+                .map(|&s| priority[s])
+                .max()
+                .unwrap_or(0);
+            priority[i] = costs.of(kind[i]) + best_succ;
+        }
+
+        let mut stage_totals = [0usize; 4];
+        let mut limb_tasks = vec![0usize; 4 * num_limbs];
+        for (&si, &p) in stage.iter().zip(&pos) {
+            stage_totals[si] += 1;
+            limb_tasks[si * num_limbs + p] += 1;
+        }
+
+        SchedulePrep {
+            costs,
+            kind,
+            stage,
+            pos,
+            priority,
+            deps,
+            succ_start,
+            succ,
+            roots,
+            stage_totals,
+            limb_tasks,
+            num_limbs,
+        }
+    }
+
+    /// [`schedule_makespan`] of the indexed graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either PE count in `config` is zero, or if `config.costs`
+    /// differ from the costs the index was built with.
+    pub fn makespan(&self, config: &SchedulerConfig) -> u64 {
+        let _span = roboshape_obs::span("taskgraph", "schedule-makespan");
+        self.place(config, |_| {})
+    }
+
+    /// The full [`Schedule`] of the indexed graph.
+    fn collect(&self, config: &SchedulerConfig) -> Schedule {
+        let mut entries: Vec<ScheduleEntry> = Vec::with_capacity(self.kind.len());
+        let makespan = self.place(config, |e| entries.push(e));
+        entries.sort_by_key(|e| (e.start, e.task.0));
+        Schedule {
+            entries,
+            pe_fwd: config.pe_fwd,
+            pe_bwd: config.pe_bwd,
+            makespan,
+        }
+    }
+
+    /// The list-scheduling core shared by every entry point: places every
+    /// task, streams each placement into `emit` and returns the makespan.
+    fn place(&self, config: &SchedulerConfig, mut emit: impl FnMut(ScheduleEntry)) -> u64 {
+        assert!(
+            config.pe_fwd > 0 && config.pe_bwd > 0,
+            "PE counts must be positive"
+        );
+        assert_eq!(
+            config.costs, self.costs,
+            "config costs differ from the costs the SchedulePrep was built with"
+        );
+        let n = self.kind.len();
+        let limbs = self.num_limbs;
+
+        // Ready set: (task, ready_at) for every task whose dependencies
+        // have all been placed. `dep_end[t]` is the latest end among the
+        // placed dependencies of `t`, so it is `t`'s ready time once its
+        // last dependency is placed.
+        let mut ready: Vec<(usize, u64)> = self.roots.iter().map(|&t| (t, 0)).collect();
+        let mut unmet = self.deps.clone();
+        let mut dep_end = vec![0u64; n];
+        // Per-class PE state: (free_at, last task).
+        let mut pe_free: [Vec<u64>; 2] = [vec![0; config.pe_fwd], vec![0; config.pe_bwd]];
+        let mut pe_last: [Vec<Option<usize>>; 2] =
+            [vec![None; config.pe_fwd], vec![None; config.pe_bwd]];
+        let mut makespan = 0u64;
+
+        // Stage barriers (non-pipelined mode): a stage's tasks may only be
+        // considered once every earlier stage has fully retired, and may
+        // only start at the release time that retirement set.
+        let mut stage_done = [0usize; 4];
+        let mut stage_release = [0u64; 4];
+
+        // Limb-sequential mode: each PE class walks the limbs one at a time
+        // (depth-first for the forward class, reverse for the backward
+        // class), and in pipelined mode interleaves the class's two stages
+        // per limb (RNEA pass of a limb, then its ∇ pass, then the next
+        // limb); a position's tasks become eligible only once every task at
+        // earlier positions has *finished* (the PEs save/restore branch
+        // state between limbs). This bounds useful forward PEs by the max
+        // leaf depth and backward PEs by the max descendant count (paper
+        // Sec. 5.4, Insight #1). Tracked as one limb frontier per stage
+        // plus, in pipelined mode, lockstep constraints between the two
+        // stages of each class (stage indices `si` and `si ^ 2`).
+        //
+        // frontier[s]: lowest limb position of stage s with unplaced tasks
+        // (= limbs when the stage is done); limb_release[s]: max end time
+        // over all positions the frontier has passed.
+        let mut remaining = self.limb_tasks.clone();
+        let mut pos_max_end = vec![0u64; 4 * limbs];
+        let mut frontier = [0usize; 4];
+        let mut limb_release = [0u64; 4];
+        for (si, f) in frontier.iter_mut().enumerate() {
+            while *f < limbs && remaining[si * limbs + *f] == 0 {
+                *f += 1;
+            }
+        }
+
+        for _ in 0..n {
+            // Per-stage gates for this step: tasks at limb positions
+            // `>= pos_limit[si]` are not eligible, and eligible ones start
+            // no earlier than `gate[si]`.
+            let min_free = pe_free
+                .each_ref()
+                .map(|pool| *pool.iter().min().expect("PE pool nonempty"));
+            let mut pos_limit = [usize::MAX; 4];
+            let mut gate = [0u64; 4];
+            for si in 0..4 {
+                let mut limit = usize::MAX;
+                let mut at = min_free[si & 1];
+                if config.limb_sequential {
+                    limit = frontier[si] + 1;
+                    at = at.max(limb_release[si]);
+                    if config.pipelined {
+                        // The ∇ pass of limb p needs the RNEA pass of limbs
+                        // ≤ p done; the RNEA pass of limb p needs the ∇
+                        // pass of limbs < p done.
+                        let q = si ^ 2;
+                        limit = limit.min(if si >= 2 {
+                            frontier[q]
+                        } else {
+                            frontier[q] + 1
+                        });
+                        at = at.max(limb_release[q]);
                     }
                 }
+                if !config.pipelined {
+                    if (0..si).any(|s| stage_done[s] < self.stage_totals[s]) {
+                        limit = 0;
+                    }
+                    at = at.max(stage_release[si]);
+                }
+                pos_limit[si] = limit;
+                gate[si] = at;
             }
-            if !config.pipelined {
-                // Barrier mode: a task may not even be considered until
-                // every earlier stage has fully retired (its release time
-                // is unknown before that).
-                let earlier_done = (0..si).all(|s| stage_done[s] == stage_totals[s]);
-                if !earlier_done {
+
+            // Candidate: the eligible ready task whose earliest feasible
+            // start is minimal; among those, the highest critical-path
+            // priority, then the lowest id. The key is a total order, so
+            // the ready set's order cannot change the choice.
+            let mut best: Option<((u64, u64, usize), usize)> = None;
+            for (i, &(task, ready_at)) in ready.iter().enumerate() {
+                let si = self.stage[task];
+                if self.pos[task] >= pos_limit[si] {
                     continue;
                 }
+                let key = (ready_at.max(gate[si]), u64::MAX - self.priority[task], task);
+                if best.is_none_or(|(b, _)| key < b) {
+                    best = Some((key, i));
+                }
             }
-            let class = usize::from(!kind.stage().is_forward());
-            let min_free = *pe_free[class].iter().min().expect("PE pool nonempty");
-            let barrier = if config.pipelined {
-                0
-            } else {
-                stage_release[si]
-            };
-            let limb_barrier = if config.limb_sequential {
-                if config.pipelined {
-                    limb_release[si].max(limb_release[partner(si)])
+            let ((start, _, task), i) = best.expect("ready set nonempty while tasks remain");
+            ready.swap_remove(i);
+            let si = self.stage[task];
+            let class = si & 1;
+            let kind = self.kind[task];
+
+            // Choose the PE: prefer the one whose last task chains into this
+            // one (keeps the thread's state local); otherwise the
+            // earliest-free.
+            let mut chosen = 0;
+            let mut chosen_key = (u64::MAX, usize::MAX);
+            for (pe, &free) in pe_free[class].iter().enumerate() {
+                if free > start {
+                    continue;
+                }
+                let chains = pe_last[class][pe]
+                    .is_some_and(|prev| is_chain_successor(self.kind[prev], kind));
+                // Affinity first (0 beats 1), then latest-free (tightest fit).
+                let key = (u64::from(!chains), (u64::MAX - free) as usize);
+                if key < chosen_key {
+                    chosen_key = key;
+                    chosen = pe;
+                }
+            }
+            let end = start + self.costs.of(kind);
+            pe_free[class][chosen] = end;
+            pe_last[class][chosen] = Some(task);
+            emit(ScheduleEntry {
+                task: TaskId(task),
+                pe_class: if class == 0 {
+                    PeClass::Forward
                 } else {
-                    limb_release[si]
+                    PeClass::Backward
+                },
+                pe: chosen,
+                start,
+                end,
+            });
+            makespan = makespan.max(end);
+
+            // Limb-frontier bookkeeping.
+            let row = si * limbs;
+            let slot = row + self.pos[task];
+            remaining[slot] -= 1;
+            pos_max_end[slot] = pos_max_end[slot].max(end);
+            while frontier[si] < limbs && remaining[row + frontier[si]] == 0 {
+                limb_release[si] = limb_release[si].max(pos_max_end[row + frontier[si]]);
+                frontier[si] += 1;
+            }
+
+            // Stage-barrier bookkeeping.
+            stage_done[si] += 1;
+            if stage_done[si] == self.stage_totals[si] {
+                for release in stage_release.iter_mut().skip(si + 1) {
+                    *release = (*release).max(end);
                 }
-            } else {
-                0
-            };
-            let start = r_at.max(min_free).max(barrier).max(limb_barrier);
-            let better = match best {
-                None => true,
-                Some((bs, bp, bt)) => {
-                    (start, u64::MAX - priority[task], task) < (bs, u64::MAX - bp, bt)
+            }
+
+            // Release successors.
+            for &s in &self.succ[self.succ_start[task]..self.succ_start[task + 1]] {
+                dep_end[s] = dep_end[s].max(end);
+                unmet[s] -= 1;
+                if unmet[s] == 0 {
+                    ready.push((s, dep_end[s]));
                 }
-            };
-            if better {
-                best = Some((start, priority[task], task));
-            }
-        }
-        let (start, _, task) = best.expect("ready set nonempty while tasks remain");
-        let kind = graph.task(TaskId(task)).kind;
-        let class = usize::from(!kind.stage().is_forward());
-
-        // Choose the PE: prefer the one whose last task chains into this
-        // one (keeps the thread's state local); otherwise the earliest-free.
-        let pool = &pe_free[class];
-        let mut chosen = 0;
-        let mut chosen_key = (u64::MAX, usize::MAX);
-        for (pe, &free) in pool.iter().enumerate() {
-            if free > start {
-                continue;
-            }
-            let chains = pe_last[class][pe]
-                .map(|prev| is_chain_successor(graph.task(TaskId(prev)).kind, kind))
-                .unwrap_or(false);
-            // Affinity first (0 beats 1), then latest-free (tightest fit).
-            let key = (u64::from(!chains), (u64::MAX - free) as usize);
-            if key < chosen_key {
-                chosen_key = key;
-                chosen = pe;
-            }
-        }
-        let cost = config.costs.of(kind);
-        let end = start + cost;
-        pe_free[class][chosen] = end;
-        pe_last[class][chosen] = Some(task);
-        end_time[task] = end;
-        emit(ScheduleEntry {
-            task: TaskId(task),
-            pe_class: if class == 0 {
-                PeClass::Forward
-            } else {
-                PeClass::Backward
-            },
-            pe: chosen,
-            start,
-            end,
-        });
-        scheduled += 1;
-        makespan = makespan.max(end);
-        ready_at.remove(&task);
-
-        // Limb-frontier bookkeeping.
-        let si = stage_index(kind);
-        let lp = limb_pos(kind);
-        remaining[si][lp] -= 1;
-        pos_max_end[si][lp] = pos_max_end[si][lp].max(end);
-        while frontier[si] < num_limbs && remaining[si][frontier[si]] == 0 {
-            limb_release[si] = limb_release[si].max(pos_max_end[si][frontier[si]]);
-            frontier[si] += 1;
-        }
-
-        // Stage-barrier bookkeeping.
-        stage_done[si] += 1;
-        if stage_done[si] == stage_totals[si] {
-            for release in stage_release.iter_mut().skip(si + 1) {
-                *release = (*release).max(end);
             }
         }
 
-        // Release successors.
-        for &s in &successors[task] {
-            unmet[s] -= 1;
-            if unmet[s] == 0 {
-                let r = graph
-                    .task(TaskId(s))
-                    .deps
-                    .iter()
-                    .map(|d| end_time[d.0])
-                    .max()
-                    .unwrap_or(0);
-                ready_at.insert(s, r);
-            }
-        }
+        let (schedules, makespans) = schedule_metrics();
+        schedules.add(1);
+        makespans.record(makespan);
+        makespan
     }
+}
 
-    let m = roboshape_obs::metrics();
-    m.counter("taskgraph.schedules").add(1);
-    m.histogram(
-        "taskgraph.makespan_cycles",
-        &[64, 128, 256, 512, 1024, 2048, 4096, 8192],
-    )
-    .record(makespan);
-    makespan
+/// The global `taskgraph.schedules` counter and
+/// `taskgraph.makespan_cycles` histogram, resolved once.
+fn schedule_metrics() -> &'static (Arc<Counter>, Arc<Histogram>) {
+    static HANDLES: OnceLock<(Arc<Counter>, Arc<Histogram>)> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        let m = roboshape_obs::metrics();
+        (
+            m.counter("taskgraph.schedules"),
+            m.histogram(
+                "taskgraph.makespan_cycles",
+                &[64, 128, 256, 512, 1024, 2048, 4096, 8192],
+            ),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -931,6 +1034,27 @@ mod tests {
         assert!(fk < id && id < grad, "{fk} / {id} / {grad}");
     }
 
+    #[test]
+    #[should_panic(expected = "costs differ")]
+    fn prep_rejects_a_config_with_other_costs() {
+        let graph = TaskGraph::dynamics_gradient(&Topology::chain(3));
+        let prep = SchedulePrep::new(&graph, TaskCosts::default());
+        let mut cfg = SchedulerConfig::with_pes(1, 1);
+        cfg.costs.grad_bwd += 1;
+        prep.makespan(&cfg);
+    }
+
+    /// A random forest: link `i` hangs off `picks[i]` when that is an
+    /// earlier link, and is a new root otherwise.
+    fn random_tree(picks: &[usize]) -> Topology {
+        let parents: Vec<Option<usize>> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| if i == 0 || p >= i { None } else { Some(p) })
+            .collect();
+        Topology::new(parents).unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
         #[test]
@@ -940,18 +1064,43 @@ mod tests {
             pe_bwd in 1usize..6,
             pipelined in proptest::bool::ANY,
         ) {
-            let parents: Vec<Option<usize>> = picks
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| if i == 0 || p >= i { None } else { Some(p) })
-                .collect();
-            let topo = Topology::new(parents).unwrap();
-            let graph = TaskGraph::dynamics_gradient(&topo);
+            let graph = TaskGraph::dynamics_gradient(&random_tree(&picks));
             let mut cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd);
             cfg.pipelined = pipelined;
             let s = schedule(&graph, &cfg);
             prop_assert!(s.validate(&graph).is_ok());
             prop_assert!(s.makespan() > 0);
+        }
+
+        /// One index reused across every PE count and mode places exactly
+        /// what a fresh per-call index places: nothing leaks between runs.
+        #[test]
+        fn a_reused_index_matches_fresh_schedules(
+            picks in proptest::collection::vec(0usize..8, 1..12),
+        ) {
+            let topo = random_tree(&picks);
+            let n = topo.len();
+            for graph in [
+                TaskGraph::dynamics_gradient(&topo),
+                TaskGraph::inverse_dynamics(&topo),
+                TaskGraph::forward_kinematics(&topo),
+            ] {
+                let prep = SchedulePrep::new(&graph, TaskCosts::default());
+                for pe_fwd in 1..=n {
+                    for pe_bwd in 1..=n {
+                        for (pipelined, limb_sequential) in
+                            [(true, true), (false, true), (true, false), (false, false)]
+                        {
+                            let mut cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd);
+                            cfg.pipelined = pipelined;
+                            cfg.limb_sequential = limb_sequential;
+                            let fresh = schedule(&graph, &cfg);
+                            prop_assert_eq!(prep.makespan(&cfg), fresh.makespan());
+                            prop_assert_eq!(prep.collect(&cfg), fresh);
+                        }
+                    }
+                }
+            }
         }
     }
 }
