@@ -17,6 +17,7 @@
 //! Set `SIM_BENCH_SMOKE=1` to shrink the robot set for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use roboshape::obs::json::Json;
 use roboshape::{
     pareto_frontier, sweep_design_space_exhaustive_with, sweep_design_space_pruned_with,
     sweep_design_space_with, Pipeline, Topology,
@@ -169,28 +170,29 @@ fn write_record(rows: &[(String, SweepRates)]) {
 }
 
 fn write_summary(rows: &[(String, SweepRates)]) {
-    let mut robots = String::new();
-    for (i, (name, r)) in rows.iter().enumerate() {
-        if i > 0 {
-            robots.push_str(", ");
-        }
-        robots.push_str(&format!(
-            "{{\"robot\": \"{name}\", \"grid_points\": {grid}, \"cold_pps\": {cold:.1}, \"incremental_pps\": {incr:.1}, \"incremental_speedup\": {speedup:.1}, \"pruned_pps\": {pruned:.1}, \"pruned_evaluated\": {eval}}}",
-            grid = r.grid_points,
-            cold = r.cold_pps,
-            incr = r.incr_pps,
-            speedup = r.incr_pps / r.cold_pps,
-            pruned = r.pruned_pps,
-            eval = r.pruned_evaluated,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"dse_sweep\",\n  \"seed\": {SEED},\n  \"smoke\": {smoke},\n  \"frontier_bit_identical\": true,\n  \"sweeps\": [{robots}]\n}}\n",
-        smoke = smoke(),
-    );
-    roboshape::obs::json::validate(&json).expect("summary is well-formed JSON");
+    let sweeps = rows.iter().map(|(name, r)| {
+        Json::obj([
+            ("robot", name.as_str().into()),
+            ("grid_points", r.grid_points.into()),
+            ("cold_pps", Json::rounded(r.cold_pps, 1)),
+            ("incremental_pps", Json::rounded(r.incr_pps, 1)),
+            (
+                "incremental_speedup",
+                Json::rounded(r.incr_pps / r.cold_pps, 1),
+            ),
+            ("pruned_pps", Json::rounded(r.pruned_pps, 1)),
+            ("pruned_evaluated", r.pruned_evaluated.into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("bench", "dse_sweep".into()),
+        ("seed", SEED.into()),
+        ("smoke", smoke().into()),
+        ("frontier_bit_identical", true.into()),
+        ("sweeps", Json::Arr(sweeps.collect())),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dse.json");
-    fs::write(path, json).expect("write BENCH_dse.json");
+    fs::write(path, doc.to_pretty()).expect("write BENCH_dse.json");
 }
 
 fn bench_dse_sweep(c: &mut Criterion) {

@@ -8,6 +8,7 @@
 //! CI (same switch as the other benches).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use roboshape::obs::json::Json;
 use roboshape::KernelKind;
 use roboshape_benchrec::record::relative_spread;
 use roboshape_benchrec::{BenchRecord, MetricKind};
@@ -230,51 +231,61 @@ fn write_summary(
     cluster: &LoadgenReport,
     single: &LoadgenReport,
 ) {
-    let smoke = smoke();
-    let robots = Zoo::ALL
-        .iter()
-        .map(|&z| format!("\"{}\"", z.name()))
-        .collect::<Vec<_>>()
-        .join(", ");
+    let robots = Zoo::ALL.iter().map(|z| z.name().into()).collect();
     let backend = format!("{:?}", EngineConfig::default().backend).to_lowercase();
-    let coalesced_cfg = single_robot_config();
-    let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"mode\": \"closed\",\n  \"smoke\": {smoke},\n  \"backend\": \"{backend}\",\n  \"robots\": [{robots}],\n  \"clients\": {clients},\n  \"requests_per_client\": {per_client},\n  \"sent\": {sent},\n  \"ok\": {ok},\n  \"shed\": {shed},\n  \"deadline_exceeded\": {deadline},\n  \"errors\": {errors},\n  \"elapsed_us\": {elapsed},\n  \"throughput_rps\": {rps:.1},\n  \"latency_us\": {{\"p50\": {p50}, \"p90\": {p90}, \"p99\": {p99}, \"max\": {max}, \"mean\": {mean:.1}}},\n  \"coalesced\": {{\"robot\": \"{co_robot}\", \"clients\": {co_clients}, \"requests_per_client\": {co_per_client}, \"scalar_rps\": {co_scalar:.1}, \"lanes_rps\": {co_lanes:.1}, \"lanes_speedup\": {co_speedup:.2}, \"lanes_p50_us\": {co_p50}, \"lanes_p99_us\": {co_p99}}},\n  \"cluster\": {{\"shards\": 3, \"clients\": {cl_clients}, \"requests_per_client\": {cl_per_client}, \"aggregate_rps\": {cl_rps:.1}, \"single_engine_rps\": {cl_single:.1}, \"speedup_vs_single\": {cl_speedup:.2}, \"lost\": {cl_lost}, \"rerouted\": {cl_rerouted}, \"p50_us\": {cl_p50}, \"p99_us\": {cl_p99}}}\n}}\n",
-        clients = clients(),
-        per_client = requests_per_client(),
-        sent = report.sent,
-        ok = report.ok,
-        shed = report.shed,
-        deadline = report.deadline_exceeded,
-        errors = report.errors,
-        elapsed = report.elapsed.as_micros(),
-        rps = report.throughput_rps,
-        p50 = report.p50_us,
-        p90 = report.p90_us,
-        p99 = report.p99_us,
-        max = report.max_us,
-        mean = report.mean_us,
-        co_robot = Zoo::Hyq.name(),
-        co_clients = coalesced_cfg.clients,
-        co_per_client = coalesced_cfg.requests_per_client,
-        co_scalar = scalar.throughput_rps,
-        co_lanes = lanes.throughput_rps,
-        co_speedup = lanes.throughput_rps / scalar.throughput_rps,
-        co_p50 = lanes.p50_us,
-        co_p99 = lanes.p99_us,
-        cl_clients = cluster_config().clients,
-        cl_per_client = cluster_config().requests_per_client,
-        cl_rps = cluster.throughput_rps,
-        cl_single = single.throughput_rps,
-        cl_speedup = cluster.throughput_rps / single.throughput_rps,
-        cl_lost = cluster.lost(),
-        cl_rerouted = cluster.rerouted,
-        cl_p50 = cluster.p50_us,
-        cl_p99 = cluster.p99_us,
-    );
-    roboshape::obs::json::validate(&json).expect("summary is well-formed JSON");
+    let (co, cl) = (single_robot_config(), cluster_config());
+    let lanes_speedup = lanes.throughput_rps / scalar.throughput_rps;
+    let cluster_speedup = cluster.throughput_rps / single.throughput_rps;
+    let latency = Json::obj([
+        ("p50", report.p50_us.into()),
+        ("p90", report.p90_us.into()),
+        ("p99", report.p99_us.into()),
+        ("max", report.max_us.into()),
+        ("mean", Json::rounded(report.mean_us, 1)),
+    ]);
+    let coalesced = Json::obj([
+        ("robot", Zoo::Hyq.name().into()),
+        ("clients", co.clients.into()),
+        ("requests_per_client", co.requests_per_client.into()),
+        ("scalar_rps", Json::rounded(scalar.throughput_rps, 1)),
+        ("lanes_rps", Json::rounded(lanes.throughput_rps, 1)),
+        ("lanes_speedup", Json::rounded(lanes_speedup, 2)),
+        ("lanes_p50_us", lanes.p50_us.into()),
+        ("lanes_p99_us", lanes.p99_us.into()),
+    ]);
+    let cluster = Json::obj([
+        ("shards", 3u64.into()),
+        ("clients", cl.clients.into()),
+        ("requests_per_client", cl.requests_per_client.into()),
+        ("aggregate_rps", Json::rounded(cluster.throughput_rps, 1)),
+        ("single_engine_rps", Json::rounded(single.throughput_rps, 1)),
+        ("speedup_vs_single", Json::rounded(cluster_speedup, 2)),
+        ("lost", cluster.lost().into()),
+        ("rerouted", cluster.rerouted.into()),
+        ("p50_us", cluster.p50_us.into()),
+        ("p99_us", cluster.p99_us.into()),
+    ]);
+    let doc = Json::obj([
+        ("bench", "serve_throughput".into()),
+        ("mode", "closed".into()),
+        ("smoke", smoke().into()),
+        ("backend", backend.into()),
+        ("robots", Json::Arr(robots)),
+        ("clients", clients().into()),
+        ("requests_per_client", requests_per_client().into()),
+        ("sent", report.sent.into()),
+        ("ok", report.ok.into()),
+        ("shed", report.shed.into()),
+        ("deadline_exceeded", report.deadline_exceeded.into()),
+        ("errors", report.errors.into()),
+        ("elapsed_us", (report.elapsed.as_micros() as u64).into()),
+        ("throughput_rps", Json::rounded(report.throughput_rps, 1)),
+        ("latency_us", latency),
+        ("coalesced", coalesced),
+        ("cluster", cluster),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    fs::write(path, json).expect("write BENCH_serve.json");
+    fs::write(path, doc.to_pretty()).expect("write BENCH_serve.json");
 }
 
 /// Emits the regression-gate record into `bench/current/` (see

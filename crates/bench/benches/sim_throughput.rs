@@ -8,6 +8,7 @@
 //! Set `SIM_BENCH_SMOKE=1` to shrink the iteration counts for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use roboshape::obs::json::Json;
 use roboshape::{
     shared_program, shared_program_for, try_simulate_interpreted, AcceleratorDesign,
     AcceleratorKnobs, BackendKind, CompiledProgram, SimScratch,
@@ -256,55 +257,60 @@ fn measure_batch(which: Zoo) -> BatchRow {
 
 fn write_summary(rows: &[RobotRow], batch_rows: &[BatchRow]) {
     let warm_beats_cold = rows.iter().all(|r| r.warm_exec_us < r.cold_first_eval_us);
-    let robots = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{name}\", \"links\": {links}, \"compile_us\": {comp:.2}, \"cold_first_eval_us\": {cold:.2}, \"warm_exec_us\": {warm:.2}, \"interpreted_us\": {interp:.2}, \"warm_evals_per_sec\": {eps:.0}, \"speedup_vs_interpreted\": {speedup:.2}}}",
-                name = r.name,
-                links = r.links,
-                comp = r.compile_us,
-                cold = r.cold_first_eval_us,
-                warm = r.warm_exec_us,
-                interp = r.interpreted_us,
-                eps = r.warm_evals_per_sec(),
-                speedup = r.speedup_vs_interpreted(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
+    let robots = rows.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.into()),
+            ("links", r.links.into()),
+            ("compile_us", Json::rounded(r.compile_us, 2)),
+            ("cold_first_eval_us", Json::rounded(r.cold_first_eval_us, 2)),
+            ("warm_exec_us", Json::rounded(r.warm_exec_us, 2)),
+            ("interpreted_us", Json::rounded(r.interpreted_us, 2)),
+            (
+                "warm_evals_per_sec",
+                Json::rounded(r.warm_evals_per_sec(), 0),
+            ),
+            (
+                "speedup_vs_interpreted",
+                Json::rounded(r.speedup_vs_interpreted(), 2),
+            ),
+        ])
+    });
     // The tentpole comparison: per-entry throughput of the lane backend
     // against the scalar loop on identical coalesced batches.
-    let lanes_beats_scalar_at_batch4 =
-        batch_rows.iter().filter(|r| r.speedup_b4() > 1.0).count() >= 4;
-    let batch = batch_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{name}\", \"links\": {links}, \"scalar_b4_us\": {s4:.2}, \"lanes_b4_us\": {l4:.2}, \"scalar_b8_us\": {s8:.2}, \"lanes_b8_us\": {l8:.2}, \"lanes_evals_per_sec_b4\": {eps4:.0}, \"lanes_evals_per_sec_b8\": {eps8:.0}, \"speedup_b4\": {sp4:.2}, \"speedup_b8\": {sp8:.2}}}",
-                name = r.name,
-                links = r.links,
-                s4 = r.scalar_b4_us,
-                l4 = r.lanes_b4_us,
-                s8 = r.scalar_b8_us,
-                l8 = r.lanes_b8_us,
-                eps4 = 1e6 / r.lanes_b4_us,
-                eps8 = 1e6 / r.lanes_b8_us,
-                sp4 = r.speedup_b4(),
-                sp8 = r.speedup_b8(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"sim_throughput\",\n  \"kernel\": \"dynamics_gradient\",\n  \"smoke\": {smoke},\n  \"warm_evals\": {evals},\n  \"simd_feature\": {simd},\n  \"warm_beats_cold\": {warm_beats_cold},\n  \"lanes_beats_scalar_at_batch4\": {lanes_beats_scalar_at_batch4},\n  \"robots\": [\n{robots}\n  ],\n  \"batch\": [\n{batch}\n  ]\n}}\n",
-        smoke = smoke(),
-        evals = evals(),
-        simd = cfg!(feature = "simd"),
-    );
-    roboshape::obs::json::validate(&json).expect("summary is well-formed JSON");
+    let lanes_win_at_b4 = batch_rows.iter().filter(|r| r.speedup_b4() > 1.0).count() >= 4;
+    let batch = batch_rows.iter().map(|r| {
+        Json::obj([
+            ("name", r.name.into()),
+            ("links", r.links.into()),
+            ("scalar_b4_us", Json::rounded(r.scalar_b4_us, 2)),
+            ("lanes_b4_us", Json::rounded(r.lanes_b4_us, 2)),
+            ("scalar_b8_us", Json::rounded(r.scalar_b8_us, 2)),
+            ("lanes_b8_us", Json::rounded(r.lanes_b8_us, 2)),
+            (
+                "lanes_evals_per_sec_b4",
+                Json::rounded(1e6 / r.lanes_b4_us, 0),
+            ),
+            (
+                "lanes_evals_per_sec_b8",
+                Json::rounded(1e6 / r.lanes_b8_us, 0),
+            ),
+            ("speedup_b4", Json::rounded(r.speedup_b4(), 2)),
+            ("speedup_b8", Json::rounded(r.speedup_b8(), 2)),
+        ])
+    });
+    let doc = Json::obj([
+        ("bench", "sim_throughput".into()),
+        ("kernel", "dynamics_gradient".into()),
+        ("smoke", smoke().into()),
+        ("warm_evals", evals().into()),
+        ("simd_feature", cfg!(feature = "simd").into()),
+        ("warm_beats_cold", warm_beats_cold.into()),
+        ("lanes_beats_scalar_at_batch4", lanes_win_at_b4.into()),
+        ("robots", Json::Arr(robots.collect())),
+        ("batch", Json::Arr(batch.collect())),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-    fs::write(path, json).expect("write BENCH_sim.json");
+    fs::write(path, doc.to_pretty()).expect("write BENCH_sim.json");
 }
 
 /// Emits the regression-gate record into `bench/current/` (see

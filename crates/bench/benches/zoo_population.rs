@@ -10,6 +10,7 @@
 //! for CI.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use roboshape::obs::json::Json;
 use roboshape::{AcceleratorKnobs, BackendKind, KernelKind, Pipeline};
 use roboshape_benchrec::record::relative_spread;
 use roboshape_benchrec::BenchRecord;
@@ -143,27 +144,30 @@ fn write_record(
 }
 
 fn write_summary(compile_rps: f64, horizon_reports: &[(u32, LoadgenReport)]) {
-    let mut horizons = String::new();
-    for (i, (steps, report)) in horizon_reports.iter().enumerate() {
-        if i > 0 {
-            horizons.push_str(", ");
-        }
-        horizons.push_str(&format!(
-            "{{\"steps\": {steps}, \"tickets\": {ok}, \"ticket_rps\": {rps:.1}, \"step_rps\": {steps_rps:.1}, \"p50_us\": {p50}, \"p99_us\": {p99}}}",
-            ok = report.ok,
-            rps = report.throughput_rps,
-            steps_rps = report.throughput_rps * f64::from(*steps),
-            p50 = report.p50_us,
-            p99 = report.p99_us,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"zoo_population\",\n  \"seed\": {SEED},\n  \"population\": {pop},\n  \"families\": [\"serpentine\", \"humanoid\", \"multiarm\", \"random\"],\n  \"compile_robots_per_sec\": {compile_rps:.1},\n  \"rollout_serving\": [{horizons}]\n}}\n",
-        pop = population_size(),
-    );
-    roboshape::obs::json::validate(&json).expect("summary is well-formed JSON");
+    let horizons = horizon_reports.iter().map(|(steps, report)| {
+        Json::obj([
+            ("steps", (*steps).into()),
+            ("tickets", report.ok.into()),
+            ("ticket_rps", Json::rounded(report.throughput_rps, 1)),
+            (
+                "step_rps",
+                Json::rounded(report.throughput_rps * f64::from(*steps), 1),
+            ),
+            ("p50_us", report.p50_us.into()),
+            ("p99_us", report.p99_us.into()),
+        ])
+    });
+    let families = ["serpentine", "humanoid", "multiarm", "random"];
+    let doc = Json::obj([
+        ("bench", "zoo_population".into()),
+        ("seed", SEED.into()),
+        ("population", population_size().into()),
+        ("families", Json::Arr(families.map(Json::from).to_vec())),
+        ("compile_robots_per_sec", Json::rounded(compile_rps, 1)),
+        ("rollout_serving", Json::Arr(horizons.collect())),
+    ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_zoo.json");
-    fs::write(path, json).expect("write BENCH_zoo.json");
+    fs::write(path, doc.to_pretty()).expect("write BENCH_zoo.json");
 }
 
 fn bench_zoo_population(c: &mut Criterion) {

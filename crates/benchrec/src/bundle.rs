@@ -18,8 +18,8 @@
 //! Validation Playbook's flow). This module owns the manifest format
 //! and the byte-exact diffing; the CLI owns the generators.
 
-use crate::json::{self, Json};
 use crate::record::{MachineInfo, RecordError};
+use roboshape_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -62,58 +62,30 @@ pub struct Manifest {
 impl Manifest {
     /// Serializes the manifest.
     pub fn to_json(&self) -> String {
-        Json::Obj(vec![
+        let snapshot = |s: &SnapshotEntry| {
+            Json::obj([
+                ("name", s.name.as_str().into()),
+                ("file", s.file.as_str().into()),
+                ("bytes", s.bytes.into()),
+                ("fnv64", format!("{:016x}", s.fnv64).into()),
+            ])
+        };
+        Json::obj([
+            ("schema", BUNDLE_SCHEMA_VERSION.into()),
+            ("bundle", "roboshape-validation".into()),
+            ("commit", self.commit.as_str().into()),
+            ("machine", self.machine.to_json()),
             (
-                "schema".to_string(),
-                Json::Num(BUNDLE_SCHEMA_VERSION as f64),
+                "seeds",
+                Json::obj(self.seeds.iter().map(|(k, v)| (k.as_str(), (*v).into()))),
             ),
             (
-                "bundle".to_string(),
-                Json::Str("roboshape-validation".to_string()),
-            ),
-            ("commit".to_string(), Json::Str(self.commit.clone())),
-            (
-                "machine".to_string(),
-                Json::Obj(vec![
-                    ("os".to_string(), Json::Str(self.machine.os.clone())),
-                    ("arch".to_string(), Json::Str(self.machine.arch.clone())),
-                    ("cpus".to_string(), Json::Num(self.machine.cpus as f64)),
-                    ("simd".to_string(), Json::Bool(self.machine.simd)),
-                ]),
+                "snapshots",
+                Json::Arr(self.snapshots.iter().map(snapshot).collect()),
             ),
             (
-                "seeds".to_string(),
-                Json::Obj(
-                    self.seeds
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "snapshots".to_string(),
-                Json::Arr(
-                    self.snapshots
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("name".to_string(), Json::Str(s.name.clone())),
-                                ("file".to_string(), Json::Str(s.file.clone())),
-                                ("bytes".to_string(), Json::Num(s.bytes as f64)),
-                                ("fnv64".to_string(), Json::Str(format!("{:016x}", s.fnv64))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "context".to_string(),
-                Json::Obj(
-                    self.context
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
+                "context",
+                Json::obj(self.context.iter().map(|(k, v)| (k.as_str(), (*v).into()))),
             ),
         ])
         .to_pretty()
@@ -140,29 +112,7 @@ impl Manifest {
                 "not a roboshape-validation bundle".to_string(),
             ));
         }
-        let machine_doc = doc
-            .get("machine")
-            .ok_or_else(|| RecordError::Schema("missing `machine` object".to_string()))?;
-        let machine = MachineInfo {
-            os: machine_doc
-                .get("os")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            arch: machine_doc
-                .get("arch")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            cpus: machine_doc
-                .get("cpus")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
-            simd: machine_doc
-                .get("simd")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-        };
+        let machine = MachineInfo::from_doc(&doc)?;
         let mut seeds = BTreeMap::new();
         if let Some(Json::Obj(members)) = doc.get("seeds") {
             for (k, v) in members {

@@ -21,23 +21,22 @@
 //!   reproduction (pinned seeds, expected report snapshots, latency and
 //!   failure-histogram context, commit SHA), modeled on the
 //!   rpg-encoder Validation Playbook.
-//! * [`json`] — the minimal self-contained JSON tree parser/writer the
-//!   above are built on (the workspace vendors no serde_json; see
-//!   DESIGN.md §5 for the dependency policy).
 //!
-//! Everything here is deterministic and dependency-free so the gate
-//! itself can never be the flaky part of CI.
+//! All three read and write their JSON through the workspace's one JSON
+//! module, `roboshape_obs::json` (the workspace vendors no serde_json;
+//! see DESIGN.md §5 for the dependency policy).
+//!
+//! Everything here is deterministic and free of external dependencies,
+//! so the gate itself can never be the flaky part of CI.
 
 #![deny(missing_docs)]
 
 pub mod bundle;
 pub mod compare;
-pub mod json;
 pub mod record;
 
 pub use bundle::{Manifest, SnapshotEntry, SnapshotStatus, VerifyOutcome};
 pub use compare::{CompareConfig, CompareReport, MetricDelta, MetricOutcome};
-pub use json::Json;
 pub use record::{BenchRecord, MachineInfo, Metric, MetricKind, RecordError};
 
 /// FNV-1a 64-bit hash of a byte string — the bundle's snapshot

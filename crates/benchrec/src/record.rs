@@ -11,7 +11,7 @@
 //! band. Keys are wall-clock-free (rates and quantiles, never dates),
 //! so a record diffs cleanly against one taken months later.
 
-use crate::json::{self, Json};
+use roboshape_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -129,6 +129,31 @@ impl MachineInfo {
     pub fn comparable_to(&self, other: &MachineInfo) -> bool {
         self.os == other.os && self.arch == other.arch && self.cpus == other.cpus
     }
+
+    /// The `machine` object records and bundle manifests both carry.
+    pub(crate) fn to_json(&self) -> Json {
+        Json::obj([
+            ("os", self.os.as_str().into()),
+            ("arch", self.arch.as_str().into()),
+            ("cpus", self.cpus.into()),
+            ("simd", self.simd.into()),
+        ])
+    }
+
+    /// Reads the `machine` object of `doc`; absent fields fall back to
+    /// `unknown`/`0`/`false`, an absent object is a schema error.
+    pub(crate) fn from_doc(doc: &Json) -> Result<MachineInfo, RecordError> {
+        let m = doc
+            .get("machine")
+            .ok_or_else(|| RecordError::Schema("missing `machine` object".to_string()))?;
+        let text = |key: &str| m.get(key).and_then(Json::as_str).unwrap_or("unknown");
+        Ok(MachineInfo {
+            os: text("os").to_string(),
+            arch: text("arch").to_string(),
+            cpus: m.get("cpus").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+            simd: m.get("simd").and_then(Json::as_bool).unwrap_or(false),
+        })
+    }
 }
 
 /// Typed failure loading or interpreting a record.
@@ -139,7 +164,8 @@ pub enum RecordError {
     /// The bytes are not well-formed JSON.
     Parse(String),
     /// The JSON is well-formed but not a valid record (wrong schema
-    /// version, missing field, wrong type, non-finite metric).
+    /// version, missing field, wrong type). A metric value that
+    /// overflows `f64` is already a [`RecordError::Parse`].
     Schema(String),
 }
 
@@ -207,35 +233,21 @@ impl BenchRecord {
     /// Serializes the record (stable: sorted metric keys, fixed field
     /// order).
     pub fn to_json(&self) -> String {
-        let metrics = self
-            .metrics
-            .iter()
-            .map(|(k, m)| {
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("value".to_string(), Json::Num(m.value)),
-                        ("kind".to_string(), Json::Str(m.kind.name().to_string())),
-                        ("noise".to_string(), Json::Num(round6(m.noise))),
-                    ]),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Num(SCHEMA_VERSION as f64)),
-            ("bench".to_string(), Json::Str(self.bench.clone())),
-            ("commit".to_string(), Json::Str(self.commit.clone())),
-            ("smoke".to_string(), Json::Bool(self.smoke)),
-            (
-                "machine".to_string(),
-                Json::Obj(vec![
-                    ("os".to_string(), Json::Str(self.machine.os.clone())),
-                    ("arch".to_string(), Json::Str(self.machine.arch.clone())),
-                    ("cpus".to_string(), Json::Num(self.machine.cpus as f64)),
-                    ("simd".to_string(), Json::Bool(self.machine.simd)),
-                ]),
-            ),
-            ("metrics".to_string(), Json::Obj(metrics)),
+        let metrics = self.metrics.iter().map(|(k, m)| {
+            let metric = Json::obj([
+                ("value", m.value.into()),
+                ("kind", m.kind.name().into()),
+                ("noise", Json::rounded(m.noise, 6)),
+            ]);
+            (k.as_str(), metric)
+        });
+        Json::obj([
+            ("schema", SCHEMA_VERSION.into()),
+            ("bench", self.bench.as_str().into()),
+            ("commit", self.commit.as_str().into()),
+            ("smoke", self.smoke.into()),
+            ("machine", self.machine.to_json()),
+            ("metrics", Json::obj(metrics)),
         ])
         .to_pretty()
     }
@@ -263,29 +275,6 @@ impl BenchRecord {
                 .map(str::to_string)
                 .ok_or_else(|| RecordError::Schema(format!("missing string field `{key}`")))
         };
-        let machine_doc = doc
-            .get("machine")
-            .ok_or_else(|| RecordError::Schema("missing `machine` object".to_string()))?;
-        let machine = MachineInfo {
-            os: machine_doc
-                .get("os")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            arch: machine_doc
-                .get("arch")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            cpus: machine_doc
-                .get("cpus")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
-            simd: machine_doc
-                .get("simd")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-        };
         let metrics_doc = match doc.get("metrics") {
             Some(Json::Obj(members)) => members,
             _ => return Err(RecordError::Schema("missing `metrics` object".to_string())),
@@ -295,11 +284,6 @@ impl BenchRecord {
             let value = m.get("value").and_then(Json::as_f64).ok_or_else(|| {
                 RecordError::Schema(format!("metric `{key}` has no numeric `value`"))
             })?;
-            if !value.is_finite() {
-                return Err(RecordError::Schema(format!(
-                    "metric `{key}` has a non-finite value"
-                )));
-            }
             let kind = match m.get("kind").and_then(Json::as_str) {
                 Some(name) => MetricKind::parse(name).ok_or_else(|| {
                     RecordError::Schema(format!("metric `{key}` has unknown kind `{name}`"))
@@ -317,7 +301,7 @@ impl BenchRecord {
             bench: field_str("bench")?,
             commit: field_str("commit")?,
             smoke: doc.get("smoke").and_then(Json::as_bool).unwrap_or(false),
-            machine,
+            machine: MachineInfo::from_doc(&doc)?,
             metrics,
         })
     }
@@ -347,10 +331,6 @@ impl BenchRecord {
         std::fs::write(path, self.to_json())
             .map_err(|e| RecordError::Io(format!("{}: {e}", path.display())))
     }
-}
-
-fn round6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
 }
 
 /// Relative spread of repeated measurement passes:
@@ -459,6 +439,11 @@ mod tests {
         assert!(matches!(
             BenchRecord::from_json(missing_value),
             Err(RecordError::Schema(_))
+        ));
+        let overflowing = missing_value.replace(r#""kind""#, r#""value": 1e400, "kind""#);
+        assert!(matches!(
+            BenchRecord::from_json(&overflowing),
+            Err(RecordError::Parse(_))
         ));
         assert!(matches!(
             BenchRecord::load(Path::new("/nonexistent/baseline.json")),

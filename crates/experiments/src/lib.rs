@@ -1304,7 +1304,7 @@ pub fn ext_zoo_with(n: usize, seed: u64) -> String {
     json.push_str(&format!(
         "],\"pareto_points\":{pareto},\"correlation\":{{\"speedup_vs_links\":{corr_links:.4},\"speedup_vs_max_leaf_depth\":{corr_depth:.4},\"speedup_vs_leaf_depth_stdev\":{corr_stdev:.4}}}}}"
     ));
-    roboshape::obs::json::validate(&json).expect("ext_zoo emits well-formed JSON");
+    roboshape::obs::json::parse(&json).expect("ext_zoo emits well-formed JSON");
     let _ = writeln!(out, "{json}");
     out
 }
@@ -1382,7 +1382,15 @@ mod tests {
             .rev()
             .find(|l| l.starts_with('{'))
             .expect("machine-readable block");
-        roboshape::obs::json::validate(json).expect("well-formed JSON");
+        let doc = roboshape::obs::json::parse(json).expect("well-formed JSON");
+        assert_eq!(doc.get("n").and_then(|n| n.as_f64()), Some(16.0));
+        assert_eq!(doc.get("seed").and_then(|n| n.as_f64()), Some(7.0));
+        let families = doc.get("families").and_then(|f| f.as_arr()).unwrap();
+        assert_eq!(families.len(), 4);
+        assert!(doc
+            .get("correlation")
+            .and_then(|c| c.get("speedup_vs_links"))
+            .is_some());
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //!   resolve a name to a handle; call sites cache the `Arc` handle).
 //!   [`MetricsSnapshot`] renders a flat JSON document (`--metrics`) or a
 //!   one-screen text summary (`experiments all`).
-//! * **JSON** — [`json`] holds the dependency-free writer/validator the
-//!   sinks use (the workspace vendors no serde implementation).
+//! * **JSON** — [`json`] is the workspace's one JSON module: the
+//!   escaper and number writers the sinks stream through, plus the
+//!   [`json::Json`] tree and strict [`json::parse`]r the bench records,
+//!   summaries and bundle manifests use.
 //!
 //! Entry points: [`span`] + [`SpanGuard`] for tracing, [`metrics`] +
 //! [`MetricsRegistry`] for metrics, [`set_sink`] + [`ChromeTraceSink`]
@@ -46,8 +48,9 @@
 //! }
 //! roboshape_obs::clear_sink();
 //! let trace = sink.to_chrome_json();
-//! assert!(trace.contains("\"traceEvents\""));
-//! roboshape_obs::json::validate(&trace).unwrap();
+//! let doc = roboshape_obs::json::parse(&trace).unwrap();
+//! let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+//! assert_eq!(events.len(), 2);
 //!
 //! let evals = roboshape_obs::metrics().counter("demo.evals");
 //! evals.add(2);

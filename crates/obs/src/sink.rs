@@ -218,6 +218,7 @@ impl Sink for ChromeTraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn chrome_json_is_valid_and_carries_nesting_args() {
@@ -242,13 +243,19 @@ mod tests {
         });
         sink.counter("test.hits", 4);
         let out = sink.to_chrome_json();
-        json::validate(&out).expect("well-formed JSON");
-        assert!(out.contains("\"traceEvents\""));
-        assert!(out.contains("\"ph\":\"X\""));
-        assert!(out.contains("\"ph\":\"C\""));
-        assert!(out.contains("\"parent\":1"));
-        assert!(out.contains("inner \\\"quoted\\\""));
         assert!(out.contains("\"ts\":1,\"dur\":9")); // ns → µs
+        let doc = json::parse(&out).expect("well-formed JSON");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let field = |i: usize, k: &str| events[i].get(k).cloned();
+        assert_eq!(events.len(), 3);
+        assert_eq!(field(0, "ph"), Some(Json::from("X")));
+        assert_eq!(field(1, "name"), Some(Json::from("inner \"quoted\"")));
+        assert_eq!(field(1, "ts"), Some(Json::Num(2.0)));
+        assert_eq!(field(1, "dur"), Some(Json::Num(1.5)));
+        let parent = events[1].get("args").and_then(|a| a.get("parent"));
+        assert_eq!(parent.and_then(Json::as_f64), Some(1.0));
+        assert_eq!(field(2, "ph"), Some(Json::from("C")));
+        assert_eq!(field(2, "name"), Some(Json::from("test.hits")));
         assert_eq!(sink.len(), 2);
         assert!(!sink.is_empty());
     }
@@ -268,8 +275,8 @@ mod tests {
     #[test]
     fn empty_trace_is_still_valid() {
         let sink = ChromeTraceSink::new();
-        let out = sink.to_chrome_json();
-        json::validate(&out).unwrap();
+        let doc = json::parse(&sink.to_chrome_json()).unwrap();
+        assert_eq!(doc.get("traceEvents"), Some(&Json::Arr(vec![])));
         assert!(sink.is_empty());
     }
 }
